@@ -30,7 +30,7 @@ from .graph_core import (
     parse_edge_list,
     parse_graph6,
 )
-from .harness import CSV_COLUMNS, CHECKS, CampaignConfig, run_campaign
+from .harness import CSV_COLUMNS, CHECKS, CampaignConfig, report_row, run_campaign
 from .proof_replay import CertificateViolationError, row_sums_scaled
 from .spectral_oracle import ConvergenceError, spectral_radius_power
 
@@ -70,10 +70,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _row_json(row) -> dict:
-    return dict(zip(CSV_COLUMNS, row))
 
 
 def _levels_str(levels) -> str:
@@ -137,17 +133,7 @@ def cmd_bound(args) -> int:
         return 0
 
     if args.output == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerow([
-            _cell(v) for v in (
-                ident, report.n, report.m, report.rho, report.phi_min,
-                report.pivot, report.phi_at[-1], report.hong_shu_fang,
-                report.hong, report.stanley, report.brualdi_hoffman,
-                report.max_degree, cert.kind if cert else "",
-                cert.t if cert else None, report.slack_min,
-            )
-        ])
+        _CsvReport(sys.stdout).add_row(report_row(ident, report, cert))
         return 0
 
     print(f"input: {ident}")
@@ -207,7 +193,7 @@ class _JsonReport:
         if not self._first:
             self._stream.write(", ")
         self._first = False
-        self._stream.write(json.dumps(_row_json(row)))
+        self._stream.write(json.dumps(dict(zip(CSV_COLUMNS, row))))
 
     def finish(self, result) -> None:
         summary = {
@@ -236,7 +222,6 @@ def cmd_verify(args) -> int:
         path=args.input,
         checks=checks,
         tol=args.tol,
-        output_format=args.output,
         jobs=args.jobs,
         allow_large=args.allow_large,
     )

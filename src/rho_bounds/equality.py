@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bounds import phi_sequence
-from .graph_core import DegreeSequence, Graph, degree_sequence
-from .spectral_oracle import spectral_radius_power
+from .graph_core import DegreeSequence
 
 REGULAR = "Regular"
 DOMINATING = "Dominating"
@@ -78,14 +76,3 @@ def tight_levels(
         level for level, value in enumerate(phi_values, start=1)
         if abs(value - rho) <= tol
     )
-
-
-def check_equality_numeric(g: Graph, tol: float = EQUALITY_TOL) -> frozenset[int]:
-    """Numerically tight levels of a connected graph, from the power oracle.
-
-    Used solely to validate :func:`classify_equality`; structural
-    classification is authoritative.
-    """
-    phis = phi_sequence(degree_sequence(g))
-    rho = spectral_radius_power(g).rho
-    return tight_levels(phis.values, rho, tol)

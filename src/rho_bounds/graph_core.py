@@ -65,16 +65,6 @@ class Graph:
                 if v > u:
                     yield (u, v)
 
-    def check_invariants(self) -> None:
-        """Raise AssertionError if the adjacency structure is inconsistent."""
-        assert self.n >= 1 and len(self.neighbors) == self.n
-        for u, nb in enumerate(self.neighbors):
-            assert list(nb) == sorted(set(nb)), f"row {u} not sorted/unique"
-            assert u not in nb, f"self-loop at {u}"
-            for v in nb:
-                assert 0 <= v < self.n, f"vertex {v} out of range"
-                assert u in self.neighbors[v], f"asymmetric edge ({u},{v})"
-
 
 @dataclass(frozen=True, slots=True)
 class DegreeSequence:
@@ -293,25 +283,6 @@ def is_connected(g: Graph) -> bool:
     return count == n
 
 
-def is_connected_union_find(g: Graph) -> bool:
-    """Connectivity via union-find; independent of the DFS routine."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = g.n
-    for u, v in g.edges():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            components -= 1
-    return components == 1
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -387,6 +358,14 @@ ENUMERATION_MAX_N = 7
 ENUMERATION_MAX_N_LARGE = 8
 
 
+def check_enumeration_n(n: int, allow_large: bool = False) -> None:
+    """Raise ValueError unless :func:`enumerate_connected` accepts n."""
+    limit = ENUMERATION_MAX_N_LARGE if allow_large else ENUMERATION_MAX_N
+    if not 1 <= n <= limit:
+        hint = " (pass allow_large for n=8)" if n == 8 and not allow_large else ""
+        raise ValueError(f"enumeration supports 1 <= n <= {limit}, got {n}{hint}")
+
+
 def enumerate_connected(
     n: int,
     *,
@@ -400,10 +379,7 @@ def enumerate_connected(
     order, so the stream is deterministic.  ``mask_range`` restricts the
     scan to [start, stop) so callers can partition the work.
     """
-    limit = ENUMERATION_MAX_N_LARGE if allow_large else ENUMERATION_MAX_N
-    if not 1 <= n <= limit:
-        hint = " (pass allow_large for n=8)" if n == 8 and not allow_large else ""
-        raise ValueError(f"enumeration supports 1 <= n <= {limit}, got {n}{hint}")
+    check_enumeration_n(n, allow_large)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     total = 1 << len(pairs)
     start, stop = mask_range if mask_range is not None else (0, total)

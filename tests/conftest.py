@@ -2,14 +2,65 @@
 
 The surd comparator below decides orderings of (a + sqrt(b))/2 values in
 pure integer arithmetic, giving the tests a tie-detection oracle that owes
-nothing to the library's prefix-sum comparison logic.
+nothing to the library's prefix-sum comparison logic.  The structural
+oracles (adjacency invariants, union-find connectivity, the numeric tight
+set) exist only to check the library against.
 """
 
 from __future__ import annotations
 
 import random
 
-from rho_bounds import DegreeSequence, Graph
+from rho_bounds import (
+    DegreeSequence,
+    Graph,
+    degree_sequence,
+    phi_sequence,
+    spectral_radius_power,
+    tight_levels,
+)
+from rho_bounds.equality import EQUALITY_TOL
+
+
+def check_invariants(g: Graph) -> None:
+    """Raise AssertionError if the adjacency structure is inconsistent."""
+    assert g.n >= 1 and len(g.neighbors) == g.n
+    for u, nb in enumerate(g.neighbors):
+        assert list(nb) == sorted(set(nb)), f"row {u} not sorted/unique"
+        assert u not in nb, f"self-loop at {u}"
+        for v in nb:
+            assert 0 <= v < g.n, f"vertex {v} out of range"
+            assert u in g.neighbors[v], f"asymmetric edge ({u},{v})"
+
+
+def is_connected_union_find(g: Graph) -> bool:
+    """Connectivity via union-find; independent of the DFS routine."""
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = g.n
+    for u, v in g.edges():
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            components -= 1
+    return components == 1
+
+
+def check_equality_numeric(g: Graph, tol: float = EQUALITY_TOL) -> frozenset[int]:
+    """Numerically tight levels of a connected graph, from the power oracle.
+
+    Used solely to validate ``classify_equality``; structural
+    classification is authoritative.
+    """
+    phis = phi_sequence(degree_sequence(g))
+    rho = spectral_radius_power(g).rho
+    return tight_levels(phis.values, rho, tol)
 
 
 def compare_half_surds(a1: int, b1: int, a2: int, b2: int) -> int:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from rho_bounds import gen_join_dominating, gen_named
 from rho_bounds.cli import run
 
 
@@ -39,6 +40,22 @@ class TestBound:
         cells = lines[1].split(",")
         assert cells[1] == "6" and cells[2] == "5"
         assert cells[4] == "2.0"  # phi_min of the 6-path
+
+    @pytest.mark.parametrize(
+        "graph",
+        [gen_named("complete", 4), gen_named("path", 6), gen_join_dominating(6, 3, 2)],
+        ids=["K4", "P6", "join_dominating_6_3_2"],
+    )
+    def test_csv_row_matches_verify(self, graph, tmp_path, capsys):
+        path = tmp_path / "g.el"
+        path.write_text(f"{graph.n}\n" + "".join(f"{u} {v}\n" for u, v in graph.edges()))
+        assert run(["bound", "--input", str(path), "--format", "edgelist",
+                    "--output", "csv"]) == 0
+        bound_lines = capsys.readouterr().out.splitlines()
+        assert run(["verify", "--input", str(path), "--format", "edgelist"]) == 0
+        verify_lines = capsys.readouterr().out.splitlines()
+        assert len(bound_lines) == len(verify_lines) == 2
+        assert bound_lines == verify_lines
 
     def test_disconnected_refused(self, tmp_path, capsys):
         path = tmp_path / "discon.el"

@@ -2,12 +2,12 @@ import math
 
 import pytest
 
+from conftest import check_equality_numeric
 from rho_bounds import (
     DOMINATING,
     NONE,
     REGULAR,
     DegreeSequence,
-    check_equality_numeric,
     classify_equality,
     degree_sequence,
     enumerate_connected,

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_graph
+from conftest import check_invariants, is_connected_union_find
 from rho_bounds import (
     DegreeSequence,
     Graph,
@@ -12,7 +12,6 @@ from rho_bounds import (
     gen_join_dominating,
     gen_named,
     is_connected,
-    is_connected_union_find,
     parse_edge_list,
     parse_graph6,
 )
@@ -292,7 +291,7 @@ class TestEnumerateConnected:
         seen = set()
         for g in enumerate_connected(4):
             assert is_connected(g)
-            g.check_invariants()
+            check_invariants(g)
             key = encode_graph6(g)
             assert key not in seen
             seen.add(key)
@@ -342,4 +341,4 @@ class TestGraphType:
 
     @given(graphs())
     def test_invariants_hold(self, g):
-        g.check_invariants()
+        check_invariants(g)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from rho_bounds import (
@@ -39,6 +41,15 @@ class TestEnumerateCampaigns:
         gid, check, detail = result.violations[0]
         assert check == "equality"
         assert "predicted" in detail
+
+    def test_tol_leaves_fixed_tolerances_alone(self):
+        # --tol overrides only soundness, equality and replay; the other
+        # checks keep their fixed tolerances, so a huge tol changes nothing
+        checks = ("dominance", "unimodality", "oracle")
+        default = campaign(source="enumerate", n=4, checks=checks)
+        loose = campaign(source="enumerate", n=4, checks=checks, tol=10.0)
+        assert default.violations == loose.violations == []
+        assert loose.tight_instances == default.tight_instances
 
     def test_rows_in_source_order(self):
         rows = []
@@ -137,13 +148,26 @@ class TestConfigValidation:
             dict(source="enumerate", n=3, checks=("bogus",)),
             dict(source="enumerate", n=3, tol=0.0),
             dict(source="enumerate", n=3, jobs=0),
-            dict(source="enumerate", n=3, output_format="xml"),
             dict(source="enumerate", n=9),
+            dict(source="enumerate", n=0),
+            dict(source="enumerate", n=8),
         ],
     )
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
             run_campaign(CampaignConfig(**kwargs))
+
+    def test_bad_n_rejected_before_any_task(self):
+        # n=9 would mean 2^36 candidate masks; the config must fail before
+        # the campaign builds a single enumeration task
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="got 9"):
+                run_campaign(CampaignConfig(source="enumerate", n=9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_check_names_exported(self):
         assert set(CHECKS) == {
