@@ -30,7 +30,14 @@ from .graph_core import (
     parse_edge_list,
     parse_graph6,
 )
-from .harness import CSV_COLUMNS, CHECKS, CampaignConfig, report_row, run_campaign
+from .harness import (
+    CSV_COLUMNS,
+    CHECKS,
+    CampaignConfig,
+    report_row,
+    run_campaign,
+    validate_config,
+)
 from .proof_replay import CertificateViolationError, row_sums_scaled
 from .spectral_oracle import ConvergenceError, spectral_radius_power
 
@@ -225,6 +232,7 @@ def cmd_verify(args) -> int:
         jobs=args.jobs,
         allow_large=args.allow_large,
     )
+    validate_config(cfg)  # before the report's first byte reaches stdout
     report = _CsvReport(sys.stdout) if args.output == "csv" else _JsonReport(sys.stdout)
     result = run_campaign(cfg, row_sink=report.add_row)
     report.finish(result)

@@ -28,7 +28,7 @@ from .graph_core import (
     parse_edge_list,
     parse_graph6,
 )
-from .proof_replay import ROW_SUM_TOL, CertificateViolationError, row_sums_scaled
+from .proof_replay import ROW_SUM_TOL, replay_levels
 from .spectral_oracle import CHARPOLY_MAX_N, spectral_radius_charpoly, spectral_radius_power
 
 CSV_COLUMNS = (
@@ -133,10 +133,10 @@ def _replay(g, seq, report, cert, rho, tols):
     details = []
     tight = False
     tol, tight_tol = tols["replay"], tols["tight"]
-    for level in range(1, seq.n + 1):
-        try:
-            rcert = row_sums_scaled(g, level, tol)
-        except CertificateViolationError as exc:
+    for rcert in replay_levels(g):
+        level = rcert.level
+        exc = rcert.violation(tol)
+        if exc is not None:
             details.append(str(exc))
             continue
         if rho > rcert.max_row_sum + tol:
@@ -147,7 +147,7 @@ def _replay(g, seq, report, cert, rho, tols):
         # the scaling saturates the top row at every level by construction;
         # a certificate is only notably tight when every row meets the
         # bound, which forces rho(B) = phi at this level
-        if all(abs(r - rcert.phi) <= tight_tol for r in rcert.row_sums):
+        if not tight and all(abs(r - rcert.phi) <= tight_tol for r in rcert.row_sums):
             tight = True
         if cert is not None and level in cert.predicted_tight_levels:
             # Regular: every row; Dominating (level >= t): rows from level on
@@ -229,7 +229,8 @@ class CampaignResult:
     wall_time: float = 0.0
 
 
-def _validate_config(cfg: CampaignConfig) -> None:
+def validate_config(cfg: CampaignConfig) -> None:
+    """Raise ValueError for a configuration ``run_campaign`` would reject."""
     if cfg.source not in ("enumerate", "graph6", "edgelist"):
         raise ValueError(f"unknown source {cfg.source!r}")
     if cfg.source == "enumerate":
@@ -344,7 +345,7 @@ def run_campaign(cfg: CampaignConfig, row_sink=None) -> CampaignResult:
     source order; pass None to skip row generation entirely.  Violations
     and counters are aggregated in source order regardless of ``jobs``.
     """
-    _validate_config(cfg)
+    validate_config(cfg)
     started = time.perf_counter()
     tols = dict(TOLERANCES)
     if cfg.tol is not None:

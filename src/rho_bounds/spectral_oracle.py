@@ -70,33 +70,35 @@ def spectral_radius_power(
     rq_prev = None
     rq = 0.0
     for iteration in range(1, max_iterations + 1):
+        # one pass: A*v, the Rayleigh quotient, (A+I)*v and its squared norm
+        av = [0.0] * n
         w = [0.0] * n
+        rq = 0.0
+        norm = 0.0
         for i, nb in enumerate(nbrs):
             acc = 0.0
             for u in nb:
                 acc += v[u]
+            av[i] = acc
+            vi = v[i]
+            rq += vi * acc
+            acc += vi
             w[i] = acc
-        rq = 0.0
-        for i in range(n):
-            rq += v[i] * w[i]
-        residual = 0.0
-        for i in range(n):
-            d = w[i] - rq * v[i]
-            if d < 0.0:
-                d = -d
-            if d > residual:
-                residual = d
-        if rq_prev is not None and abs(rq - rq_prev) < tol and residual <= residual_tol:
-            return SpectralResult(rq, iteration, residual, "power")
+            norm += acc * acc
+        # the residual is read only once the Rayleigh quotients agree
+        if rq_prev is not None and abs(rq - rq_prev) < tol:
+            residual = 0.0
+            for i in range(n):
+                d = av[i] - rq * v[i]
+                if d < 0.0:
+                    d = -d
+                if d > residual:
+                    residual = d
+            if residual <= residual_tol:
+                return SpectralResult(rq, iteration, residual, "power")
         rq_prev = rq
-        norm = 0.0
-        for i in range(n):
-            w[i] += v[i]
-            norm += w[i] * w[i]
         norm = math.sqrt(norm)
-        for i in range(n):
-            w[i] /= norm
-        v = w
+        v = [x / norm for x in w]
     raise ConvergenceError(
         f"power iteration did not converge in {max_iterations} iterations "
         f"(last estimate {rq})",

@@ -4,22 +4,30 @@ The surd comparator below decides orderings of (a + sqrt(b))/2 values in
 pure integer arithmetic, giving the tests a tie-detection oracle that owes
 nothing to the library's prefix-sum comparison logic.  The structural
 oracles (adjacency invariants, union-find connectivity, the numeric tight
-set) exist only to check the library against.
+set, the per-level replay loop, the five-pass power loop) exist only to
+check the library against.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from rho_bounds import (
+    CertificateViolationError,
+    ConvergenceError,
     DegreeSequence,
     Graph,
+    ScalingCertificate,
+    SpectralResult,
     degree_sequence,
+    phi,
     phi_sequence,
     spectral_radius_power,
     tight_levels,
 )
 from rho_bounds.equality import EQUALITY_TOL
+from rho_bounds.spectral_oracle import MAX_ITERATIONS, POWER_TOL, RESIDUAL_TOL
 
 
 def check_invariants(g: Graph) -> None:
@@ -61,6 +69,75 @@ def check_equality_numeric(g: Graph, tol: float = EQUALITY_TOL) -> frozenset[int
     phis = phi_sequence(degree_sequence(g))
     rho = spectral_radius_power(g).rho
     return tight_levels(phis.values, rho, tol)
+
+
+def row_sums_scaled_per_level(g: Graph, level: int, tol: float) -> ScalingCertificate:
+    """One level's certificate the direct way: sort the vertices by degree,
+    then sum each row's neighbor weights.  O(n + m) per level."""
+    n = g.n
+    order = sorted(range(n), key=lambda v: (-len(g.neighbors[v]), v))
+    seq = DegreeSequence.from_degrees(len(g.neighbors[v]) for v in order)
+    value = phi(seq, level)
+    d_level = seq.degrees[level - 1]
+    x = tuple(
+        1.0 + (seq.degrees[i] - d_level) / (value + 1.0) for i in range(level - 1)
+    )
+    position = [0] * n
+    for pos, v in enumerate(order):
+        position[v] = pos
+    weight = [1.0] * n
+    weight[:level - 1] = x
+    row_sums = []
+    for pos, v in enumerate(order):
+        acc = 0.0
+        for u in g.neighbors[v]:
+            acc += weight[position[u]]
+        row_sums.append(acc / weight[pos])
+    for pos, r in enumerate(row_sums):
+        if r > value + tol:
+            raise CertificateViolationError(level, pos + 1, r, value)
+    return ScalingCertificate(level, x, tuple(row_sums), value, max(row_sums))
+
+
+def spectral_radius_power_five_pass(
+    g: Graph, tol: float = POWER_TOL, residual_tol: float = RESIDUAL_TOL,
+    max_iterations: int = MAX_ITERATIONS,
+) -> SpectralResult:
+    """Power iteration on A+I with one pass per step: A*v, the Rayleigh
+    quotient, the residual, the shift and norm, the division."""
+    n = g.n
+    v = [1.0 / math.sqrt(n)] * n
+    rq_prev = None
+    rq = 0.0
+    for iteration in range(1, max_iterations + 1):
+        w = [0.0] * n
+        for i, nb in enumerate(g.neighbors):
+            acc = 0.0
+            for u in nb:
+                acc += v[u]
+            w[i] = acc
+        rq = 0.0
+        for i in range(n):
+            rq += v[i] * w[i]
+        residual = 0.0
+        for i in range(n):
+            d = w[i] - rq * v[i]
+            if d < 0.0:
+                d = -d
+            if d > residual:
+                residual = d
+        if rq_prev is not None and abs(rq - rq_prev) < tol and residual <= residual_tol:
+            return SpectralResult(rq, iteration, residual, "power")
+        rq_prev = rq
+        norm = 0.0
+        for i in range(n):
+            w[i] += v[i]
+            norm += w[i] * w[i]
+        norm = math.sqrt(norm)
+        for i in range(n):
+            w[i] /= norm
+        v = w
+    raise ConvergenceError("power iteration did not converge", rq)
 
 
 def compare_half_surds(a1: int, b1: int, a2: int, b2: int) -> int:
@@ -145,3 +222,8 @@ def random_degree_sequence(rng: random.Random, max_n: int = 50) -> DegreeSequenc
     n = rng.randint(1, max_n)
     p = rng.uniform(0.05, 0.95)
     return DegreeSequence.from_graph(random_graph(rng, n, p))
+
+
+def random_tree(rng: random.Random, n: int) -> Graph:
+    """Random recursive tree: vertex k attaches to a uniform earlier vertex."""
+    return Graph.from_edges(n, ((k, rng.randrange(k)) for k in range(1, n)))

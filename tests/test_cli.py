@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rho_bounds import gen_join_dominating, gen_named
+from rho_bounds import CSV_COLUMNS, gen_join_dominating, gen_named
 from rho_bounds.cli import run
 
 
@@ -140,6 +140,30 @@ class TestVerify:
 
     def test_tolerance_must_be_positive(self, capsys):
         assert run(["verify", "--n", "3", "--tol", "-1"]) == 2
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "bad", [["--n", "9"], ["--n", "4", "--checks", "bogus"], ["--n", "4", "--tol", "-1"]],
+        ids=["n9", "checks_bogus", "tol_negative"],
+    )
+    def test_config_error_leaves_stdout_empty(self, bad, output, capsys):
+        assert run(["verify", *bad, "--output", output]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
+
+    def test_empty_corpus_csv_header(self, tmp_path, capsys):
+        path = tmp_path / "empty.g6"
+        path.write_text("")
+        assert run(["verify", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == ",".join(CSV_COLUMNS) + "\n"
+
+    def test_empty_corpus_json(self, tmp_path, capsys):
+        path = tmp_path / "empty.g6"
+        path.write_text("")
+        assert run(["verify", "--input", str(path), "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rows"] == [] and doc["graphs_checked"] == 0
 
 
 class TestEnumerate:

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from conftest import random_connected_graph, random_tree, row_sums_scaled_per_level
 from rho_bounds import (
     CertificateViolationError,
     DOMINATING,
@@ -13,6 +15,7 @@ from rho_bounds import (
     gen_join_dominating,
     gen_named,
     phi,
+    replay_levels,
     row_sums_scaled,
     scaling_vector,
     spectral_radius_power,
@@ -106,10 +109,6 @@ class TestProofInequalities:
 
     def test_random_medium_graphs(self):
         # spot-check beyond the exhaustive range, through n=9
-        import random
-
-        from conftest import random_connected_graph
-
         rng = random.Random(5150)
         for _ in range(200):
             g = random_connected_graph(rng, rng.randint(6, 9), 0.45)
@@ -135,3 +134,73 @@ class TestProofInequalities:
                 cert = row_sums_scaled(g, level)
                 for pos in range(level, n + 1):
                     assert abs(cert.row_sums[pos - 1] - cert.phi) <= 1e-6
+
+
+def _seeded_graphs():
+    """Trees, paths and dense G(n, p) graphs up to n = 120."""
+    rng = random.Random(9091)
+    for n in (7, 12, 20, 33, 50, 75, 120):
+        yield random_tree(rng, n)
+        yield gen_named("path", n)
+        yield random_connected_graph(rng, n, 0.6)
+
+
+def _oracle_outcome(g, level, tol):
+    """The per-level oracle's certificate, or (level, row) of its violation."""
+    try:
+        return row_sums_scaled_per_level(g, level, tol)
+    except CertificateViolationError as exc:
+        return exc.level, exc.row
+
+
+class TestReplayEngine:
+    """``replay_levels`` against the direct per-level loop in conftest."""
+
+    NEGATIVE_TOLS = (-1e-7, -0.3)
+
+    def _check(self, g):
+        certs = list(replay_levels(g))
+        assert [c.level for c in certs] == list(range(1, g.n + 1))
+        for cert in certs:
+            level = cert.level
+            ref = _oracle_outcome(g, level, math.inf)
+            assert cert.phi == ref.phi and cert.x == ref.x
+            slack = 1e-12 * max(1.0, ref.phi)
+            assert len(cert.row_sums) == len(ref.row_sums) == g.n
+            for a, b in zip(cert.row_sums, ref.row_sums):
+                assert abs(a - b) <= slack
+            assert abs(cert.max_row_sum - ref.max_row_sum) <= slack
+            for tol in self.NEGATIVE_TOLS:
+                expected = _oracle_outcome(g, level, tol)
+                exc = cert.violation(tol)
+                got = (exc.level, exc.row) if exc is not None else None
+                assert got == (expected if isinstance(expected, tuple) else None)
+            # the one-level view raises the same error, or returns the same
+            # certificate
+            tol = self.NEGATIVE_TOLS[0]
+            exc = cert.violation(tol)
+            if exc is None:
+                assert row_sums_scaled(g, level, tol) == cert
+            else:
+                with pytest.raises(CertificateViolationError) as err:
+                    row_sums_scaled(g, level, tol)
+                assert str(err.value) == str(exc)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exhaustive(self, n):
+        for g in enumerate_connected(n):
+            self._check(g)
+
+    def test_seeded_up_to_120(self):
+        for g in _seeded_graphs():
+            self._check(g)
+
+    def test_level_out_of_range(self):
+        g = gen_named("path", 4)
+        for level in (0, 5):
+            with pytest.raises(ValueError):
+                row_sums_scaled(g, level)
+
+    def test_no_violation_at_default_tol(self):
+        for g in _seeded_graphs():
+            assert all(c.violation() is None for c in replay_levels(g))

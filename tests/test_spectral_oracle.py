@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_tree, spectral_radius_power_five_pass
 from rho_bounds import (
     ConvergenceError,
     Graph,
@@ -52,6 +52,44 @@ class TestPowerIteration:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             spectral_radius_power(gen_named("path", 3), tol=0.0)
+
+
+def _power_outcome(method, g, **kwargs):
+    """Every field of the result, floats as their exact bits (hex)."""
+    try:
+        res = method(g, **kwargs)
+    except ConvergenceError as exc:
+        return "ConvergenceError", exc.last_estimate.hex()
+    return res.rho.hex(), res.iterations, res.residual.hex(), res.method
+
+
+def _power_corpus():
+    """Every connected graph with n <= 6, then paths, cycles and random
+    trees up to n = 120."""
+    for n in range(1, 7):
+        yield from enumerate_connected(n)
+    rng = random.Random(4242)
+    for n in (7, 13, 30, 64, 120):
+        yield gen_named("path", n)
+        yield gen_named("cycle", n)
+        yield random_tree(rng, n)
+
+
+class TestFusedPowerLoop:
+    """The fused loop against the five-pass loop in conftest: same
+    arithmetic in the same order, so every field must match bit for bit."""
+
+    def test_bit_identical(self):
+        for g in _power_corpus():
+            got = _power_outcome(spectral_radius_power, g)
+            assert got == _power_outcome(spectral_radius_power_five_pass, g)
+            assert got[0] != "ConvergenceError"
+
+    def test_last_estimate_identical(self):
+        for g in _power_corpus():
+            got = _power_outcome(spectral_radius_power, g, max_iterations=3)
+            ref = _power_outcome(spectral_radius_power_five_pass, g, max_iterations=3)
+            assert got == ref
 
 
 class TestCharacteristicPolynomial:
