@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .bounds import bound_report, is_graphical
@@ -26,6 +25,7 @@ from .graph_core import (
     degree_sequence,
     encode_graph6,
     enumerate_connected,
+    graph6_records,
     is_connected,
     parse_edge_list,
     parse_graph6,
@@ -33,29 +33,13 @@ from .graph_core import (
 from .harness import (
     CSV_COLUMNS,
     CHECKS,
+    TOLERANCES,
     CampaignConfig,
     report_row,
     run_campaign,
-    validate_config,
 )
 from .proof_replay import CertificateViolationError, row_sums_scaled
 from .spectral_oracle import ConvergenceError, spectral_radius_power
-
-JOBS_ENV_VAR = "RHO_BOUNDS_JOBS"
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ValueError(f"{JOBS_ENV_VAR}={raw!r} is not an integer") from None
-    if jobs < 1:
-        raise ValueError(f"{JOBS_ENV_VAR} must be >= 1, got {jobs}")
-    return jobs
-
 
 def _read_input(path: str) -> str:
     if path == "-":
@@ -66,8 +50,8 @@ def _read_input(path: str) -> str:
 
 def _load_graph(text: str, fmt: str) -> Graph:
     if fmt == "graph6":
-        first = next((ln for ln in text.splitlines() if ln.strip()), "")
-        return parse_graph6(first)
+        records = graph6_records(text)
+        return parse_graph6(records[0] if records else "")
     return parse_edge_list(text)
 
 
@@ -178,28 +162,31 @@ def cmd_bound(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+# Each report opens at its first row or in finish(): an earlier error leaves stdout empty.
+
 class _CsvReport:
     def __init__(self, stream):
         self._writer = csv.writer(stream, lineterminator="\n")
-        self._writer.writerow(CSV_COLUMNS)
+        self._started = False
 
     def add_row(self, row) -> None:
+        self.finish(None)  # the header, before the first row only
         self._writer.writerow([_cell(v) for v in row])
 
     def finish(self, result) -> None:
-        pass
+        if not self._started:
+            self._started = True
+            self._writer.writerow(CSV_COLUMNS)
 
 
 class _JsonReport:
     def __init__(self, stream):
         self._stream = stream
-        self._first = True
-        stream.write('{"rows": [')
+        self._started = False
 
     def add_row(self, row) -> None:
-        if not self._first:
-            self._stream.write(", ")
-        self._first = False
+        self._stream.write(", " if self._started else '{"rows": [')
+        self._started = True
         self._stream.write(json.dumps(dict(zip(CSV_COLUMNS, row))))
 
     def finish(self, result) -> None:
@@ -212,7 +199,8 @@ class _JsonReport:
             ],
             "tight_instances": result.tight_instances,
         }
-        self._stream.write("], " + json.dumps(summary)[1:] + "\n")
+        opening = "" if self._started else '{"rows": ['
+        self._stream.write(opening + "], " + json.dumps(summary)[1:] + "\n")
 
 
 def cmd_verify(args) -> int:
@@ -232,7 +220,6 @@ def cmd_verify(args) -> int:
         jobs=args.jobs,
         allow_large=args.allow_large,
     )
-    validate_config(cfg)  # before the report's first byte reaches stdout
     report = _CsvReport(sys.stdout) if args.output == "csv" else _JsonReport(sys.stdout)
     result = run_campaign(cfg, row_sink=report.add_row)
     report.finish(result)
@@ -277,24 +264,22 @@ def cmd_replay(args) -> int:
     except CertificateViolationError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
         return 1
+    doc = {
+        "id": encode_graph6(g),
+        "level": cert.level,
+        "phi": cert.phi,
+        "x": cert.x,
+        "row_sums": cert.row_sums,
+        "max_row_sum": cert.max_row_sum,
+        "slack": cert.phi - cert.max_row_sum,
+    }
     if args.output == "json":
-        print(json.dumps({
-            "id": encode_graph6(g),
-            "level": cert.level,
-            "phi": cert.phi,
-            "x": list(cert.x),
-            "row_sums": list(cert.row_sums),
-            "max_row_sum": cert.max_row_sum,
-            "slack": cert.phi - cert.max_row_sum,
-        }))
+        print(json.dumps(doc))
         return 0
-    print(f"id: {encode_graph6(g)}")
-    print(f"level: {cert.level}")
-    print(f"phi: {cert.phi!r}")
-    print(f"x: ({', '.join(repr(v) for v in cert.x)})")
-    print(f"row_sums: ({', '.join(repr(v) for v in cert.row_sums)})")
-    print(f"max_row_sum: {cert.max_row_sum!r}")
-    print(f"slack: {cert.phi - cert.max_row_sum!r}")
+    for key, value in doc.items():
+        if isinstance(value, tuple):
+            value = f"({', '.join(map(repr, value))})"
+        print(f"{key}: {value}")
     return 0
 
 
@@ -326,11 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--checks", default="all",
                           help=f"comma list from {','.join(CHECKS)} (default all)")
     p_verify.add_argument("--tol", type=float, default=None,
-                          help="override check tolerances (default 1e-9 "
-                               "soundness/replay, 1e-6 equality)")
+                          help="override check tolerances (default {soundness:g} soundness, "
+                               "{replay:g} replay, {equality:g} equality)".format_map(TOLERANCES))
     p_verify.add_argument("--output", default="csv", choices=("csv", "json"))
-    p_verify.add_argument("--jobs", type=int, default=None,
-                          help=f"worker processes (default ${JOBS_ENV_VAR} or 1)")
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="worker processes (default 1)")
     p_verify.add_argument("--allow-large", action="store_true",
                           help="unlock n=8 enumeration")
     p_verify.set_defaults(func=cmd_verify)
@@ -355,8 +340,6 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "jobs", "missing") is None:
-            args.jobs = _default_jobs()
         return args.func(args)
     except (GraphParseError, ConvergenceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

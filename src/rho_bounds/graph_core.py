@@ -197,6 +197,13 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(tuple(sorted(row)) for row in adj))
 
 
+def graph6_records(text: str) -> list[str]:
+    """The records of a graph6 file: its non-blank lines, after an optional
+    ``>>graph6<<`` header line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    return lines[1:] if lines and lines[0].strip() == ">>graph6<<" else lines
+
+
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as a one-line graph6 record (inverse of parse_graph6)."""
     n = g.n

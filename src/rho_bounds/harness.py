@@ -9,6 +9,8 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import multiprocessing
 import time
@@ -24,6 +26,7 @@ from .graph_core import (
     encode_graph6,
     enumerate_connected,
     enumeration_space,
+    graph6_records,
     is_connected,
     parse_edge_list,
     parse_graph6,
@@ -249,131 +252,114 @@ def validate_config(cfg: CampaignConfig) -> None:
         check_enumeration_n(cfg.n, cfg.allow_large)
 
 
-def _examine_graph(g: Graph, checks: tuple[str, ...], tols: dict, want_rows: bool):
+def _examine_graph(g: Graph, checks: tuple[str, ...], tols: dict):
     """Run the enabled checks (canonical order) on one connected graph.
 
-    Returns (row or None, violations, names of checks tight here).
+    Returns (row, violations, names of checks tight here).
     """
     seq = degree_sequence(g)
     rho = spectral_radius_power(g).rho
     report = bound_report(seq, rho)
     cert = classify_equality(seq) if seq.n >= 2 else None
-    found = []
+    ident = encode_graph6(g)
+    violations = []
     tight = []
     for name in checks:
         details, is_tight = _CHECK_FUNCTIONS[name](g, seq, report, cert, rho, tols)
-        found.extend((name, detail) for detail in details)
+        violations.extend((ident, name, detail) for detail in details)
         if is_tight:
             tight.append(name)
-    ident = encode_graph6(g) if want_rows or found else None
-    row = report_row(ident, report, cert) if want_rows else None
-    return row, [(ident, name, detail) for name, detail in found], tight
+    return report_row(ident, report, cert), violations, tight
 
 
 # ---------------------------------------------------------------------------
 # chunked execution
 # ---------------------------------------------------------------------------
 
-def _make_tasks(cfg: CampaignConfig, common: dict) -> list[dict]:
-    """Split the source into tasks; ``common`` (checks, tolerances, whether
-    rows are wanted) goes into every task."""
+def _chunks(cfg: CampaignConfig) -> list[tuple]:
+    """Split the source into picklable chunks: ("enumerate", (n, allow_large,
+    start, stop)), ("graph6", (first_record, lines)) or ("edgelist", text)."""
     if cfg.source == "enumerate":
         total = enumeration_space(cfg.n)
         return [
-            {"kind": "enumerate", "n": cfg.n, "allow_large": cfg.allow_large,
-             "range": (start, min(start + _ENUM_CHUNK, total)), **common}
+            ("enumerate", (cfg.n, cfg.allow_large, start, min(start + _ENUM_CHUNK, total)))
             for start in range(0, total, _ENUM_CHUNK)
-        ]
-    if cfg.source == "graph6":
-        with open(cfg.path, "r", encoding="ascii") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        if lines and lines[0].strip() == ">>graph6<<":
-            lines = lines[1:]
-        return [
-            {"kind": "graph6", "lines": lines[start:start + _FILE_CHUNK],
-             "first_record": start + 1, **common}
-            for start in range(0, max(len(lines), 1), _FILE_CHUNK)
         ]
     with open(cfg.path, "r", encoding="ascii") as fh:
         text = fh.read()
-    return [{"kind": "edgelist", "text": text, **common}]
+    if cfg.source == "edgelist":
+        return [("edgelist", text)]
+    records = graph6_records(text)
+    return [
+        ("graph6", (start + 1, records[start:start + _FILE_CHUNK]))
+        for start in range(0, max(len(records), 1), _FILE_CHUNK)
+    ]
 
 
-def _task_graphs(task: dict):
-    """Yield (graph, known_connected) for a task."""
-    if task["kind"] == "enumerate":
-        graphs = enumerate_connected(
-            task["n"], allow_large=task["allow_large"], mask_range=task["range"]
-        )
-        yield from ((g, True) for g in graphs)
-    elif task["kind"] == "graph6":
-        for offset, line in enumerate(task["lines"]):
-            record = task["first_record"] + offset
+def _chunk_graphs(kind: str, payload):
+    """Yield the graphs of a chunk in source order."""
+    if kind == "enumerate":
+        n, allow_large, start, stop = payload
+        yield from enumerate_connected(n, allow_large=allow_large, mask_range=(start, stop))
+    elif kind == "graph6":
+        first_record, lines = payload
+        for record, line in enumerate(lines, start=first_record):
             try:
-                yield parse_graph6(line), False
+                yield parse_graph6(line)
             except GraphParseError as exc:
                 raise GraphParseError(f"record {record}: {exc}") from exc
     else:
-        yield parse_edge_list(task["text"]), False
+        yield parse_edge_list(payload)
 
 
-def _run_chunk(task: dict) -> dict:
-    checks, tols, want_rows = task["checks"], task["tols"], task["want_rows"]
+def _run_chunk(checks: tuple[str, ...], tols: dict, chunk: tuple) -> tuple:
+    """Examine one chunk; returns (rows, violations, skipped, tight counts)."""
     rows: list = []
     violations: list[tuple[str, str, str]] = []
     tight_counts = dict.fromkeys(checks, 0)
-    checked = skipped = 0
-    for g, known_connected in _task_graphs(task):
-        if not known_connected and not is_connected(g):
+    skipped = 0
+    kind, payload = chunk
+    for g in _chunk_graphs(kind, payload):
+        if kind != "enumerate" and not is_connected(g):
             skipped += 1
             continue
-        checked += 1
-        row, viols, tight = _examine_graph(g, checks, tols, want_rows)
-        if want_rows:
-            rows.append(row)
+        row, viols, tight = _examine_graph(g, checks, tols)
+        rows.append(row)
         violations.extend(viols)
         for name in tight:
             tight_counts[name] += 1
-    return {"rows": rows, "violations": violations, "checked": checked,
-            "skipped": skipped, "tights": tight_counts}
+    return rows, violations, skipped, tight_counts
 
 
 def run_campaign(cfg: CampaignConfig, row_sink=None) -> CampaignResult:
     """Run every enabled check over the configured source.
 
     ``row_sink`` receives one per-graph row tuple (see CSV_COLUMNS) in
-    source order; pass None to skip row generation entirely.  Violations
-    and counters are aggregated in source order regardless of ``jobs``.
+    source order; None discards the rows.  Violations and counters are
+    aggregated in source order regardless of ``jobs``.
     """
     validate_config(cfg)
     started = time.perf_counter()
     tols = dict(TOLERANCES)
     if cfg.tol is not None:
         tols.update(soundness=cfg.tol, equality=cfg.tol, replay=cfg.tol)
-    tasks = _make_tasks(cfg, {
-        "checks": tuple(c for c in CHECKS if c in cfg.checks),
-        "tols": tols,
-        "want_rows": row_sink is not None,
-    })
+    run = functools.partial(_run_chunk, tuple(c for c in CHECKS if c in cfg.checks), tols)
+    chunks = _chunks(cfg)
     result = CampaignResult(tight_instances=dict.fromkeys(cfg.checks, 0))
 
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(cfg.jobs) as pool:
-            _merge(result, pool.imap(_run_chunk, tasks), row_sink)
-    else:
-        _merge(result, map(_run_chunk, tasks), row_sink)
+    with contextlib.ExitStack() as stack:
+        outcomes = map(run, chunks)
+        if cfg.jobs > 1 and len(chunks) > 1:
+            outcomes = stack.enter_context(multiprocessing.Pool(cfg.jobs)).imap(run, chunks)
+        for rows, violations, skipped, tights in outcomes:
+            if row_sink is not None:
+                for row in rows:
+                    row_sink(row)
+            result.violations.extend(violations)
+            result.graphs_checked += len(rows)
+            result.skipped_disconnected += skipped
+            for name, count in tights.items():
+                result.tight_instances[name] += count
 
     result.wall_time = time.perf_counter() - started
     return result
-
-
-def _merge(result: CampaignResult, outcomes, row_sink) -> None:
-    for out in outcomes:
-        if row_sink is not None:
-            for row in out["rows"]:
-                row_sink(row)
-        result.violations.extend(out["violations"])
-        result.graphs_checked += out["checked"]
-        result.skipped_disconnected += out["skipped"]
-        for name, count in out["tights"].items():
-            result.tight_instances[name] += count

@@ -47,23 +47,15 @@ class UnsupportedSizeError(ValueError):
     """Graph too large for the exact characteristic-polynomial method."""
 
 
-def spectral_radius_power(
-    g: Graph,
-    tol: float = POWER_TOL,
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-    max_iterations: int = MAX_ITERATIONS,
-) -> SpectralResult:
+def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> SpectralResult:
     """Power iteration on A+I from the all-ones vector.
 
     The +I shift makes the dominant eigenvalue strictly largest in magnitude
     even for bipartite graphs, and the all-ones start has positive overlap
     with the Perron vector, so convergence is guaranteed for connected
     graphs.  Stops once successive Rayleigh quotients differ by less than
-    ``tol`` and the residual is at most ``residual_tol``.
+    ``POWER_TOL`` and the residual is at most ``RESIDUAL_TOL``.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     n = g.n
     nbrs = g.neighbors
     v = [1.0 / math.sqrt(n)] * n
@@ -86,7 +78,7 @@ def spectral_radius_power(
             w[i] = acc
             norm += acc * acc
         # the residual is read only once the Rayleigh quotients agree
-        if rq_prev is not None and abs(rq - rq_prev) < tol:
+        if rq_prev is not None and abs(rq - rq_prev) < POWER_TOL:
             residual = 0.0
             for i in range(n):
                 d = av[i] - rq * v[i]
@@ -94,7 +86,7 @@ def spectral_radius_power(
                     d = -d
                 if d > residual:
                     residual = d
-            if residual <= residual_tol:
+            if residual <= RESIDUAL_TOL:
                 return SpectralResult(rq, iteration, residual, "power")
         rq_prev = rq
         norm = math.sqrt(norm)

@@ -132,12 +132,6 @@ class TestVerify:
         assert run(["verify", "--input", str(path)]) == 2
         assert "record 2" in capsys.readouterr().err
 
-    def test_env_var_jobs(self, capsys, monkeypatch):
-        monkeypatch.setenv("RHO_BOUNDS_JOBS", "2")
-        assert run(["verify", "--n", "4"]) == 0
-        monkeypatch.setenv("RHO_BOUNDS_JOBS", "zero")
-        assert run(["verify", "--n", "4"]) == 2
-
     def test_tolerance_must_be_positive(self, capsys):
         assert run(["verify", "--n", "3", "--tol", "-1"]) == 2
 
@@ -148,6 +142,19 @@ class TestVerify:
     )
     def test_config_error_leaves_stdout_empty(self, bad, output, capsys):
         assert run(["verify", *bad, "--output", output]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize("corpus", [None, "C~\nnot-a-record\nCh\n"],
+                             ids=["missing_file", "record_2_malformed"])
+    def test_input_error_leaves_stdout_empty(self, corpus, output, tmp_path, capsys):
+        path = "/no/such.g6"
+        if corpus is not None:
+            path = tmp_path / "bad.g6"
+            path.write_text(corpus)
+        assert run(["verify", "--input", str(path), "--output", output]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err
@@ -166,6 +173,21 @@ class TestVerify:
         assert doc["rows"] == [] and doc["graphs_checked"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["bound", "--format", "graph6"], ["replay", "--level", "2"]],
+    ids=["verify", "bound", "replay"],
+)
+@pytest.mark.parametrize("text", [">>graph6<<\nC~\n", "\nC~\n"],
+                         ids=["header_line", "leading_blank_line"])
+def test_graph6_file_first_record(argv, text, tmp_path, capsys):
+    path = tmp_path / "k4.g6"
+    path.write_text(text)
+    assert run([*argv, "--input", str(path), "--output", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.get("rows", [doc])[0]["id"] == "C~"  # verify nests its rows
+
+
 class TestEnumerate:
     def test_n4_stream(self, capsys):
         assert run(["enumerate", "--n", "4"]) == 0
@@ -180,6 +202,11 @@ class TestEnumerate:
         assert "allow_large" in capsys.readouterr().err
 
 
+# sqrt(3) as repr prints it, and the float just above it
+_R3 = "1.7320508075688772"
+_R3_UP = "1.7320508075688774"
+
+
 class TestReplay:
     def test_star_level_two(self, tmp_path, capsys):
         path = tmp_path / "star.g6"
@@ -187,6 +214,22 @@ class TestReplay:
         assert run(["replay", "--input", str(path), "--level", "2"]) == 0
         out = capsys.readouterr().out
         assert "max_row_sum: 1.73" in out
+
+    @pytest.mark.parametrize("level, text", [
+        (1, "id: Cs\nlevel: 1\nphi: 3.0\nx: ()\nrow_sums: (3.0, 1.0, 1.0, 1.0)\n"
+            "max_row_sum: 3.0\nslack: 0.0\n"),
+        (2, f"id: Cs\nlevel: 2\nphi: {_R3}\nx: ({_R3})\n"
+            f"row_sums: ({_R3_UP}, {_R3}, {_R3}, {_R3})\n"
+            f"max_row_sum: {_R3_UP}\nslack: -2.220446049250313e-16\n"),
+        (4, f"id: Cs\nlevel: 4\nphi: {_R3}\nx: ({_R3}, 1.0, 1.0)\n"
+            f"row_sums: ({_R3_UP}, {_R3}, {_R3}, {_R3})\n"
+            f"max_row_sum: {_R3_UP}\nslack: -2.220446049250313e-16\n"),
+    ])
+    def test_star_full_text(self, level, text, tmp_path, capsys):
+        path = tmp_path / "star.g6"
+        path.write_text("Cs\n")
+        assert run(["replay", "--input", str(path), "--level", str(level)]) == 0
+        assert capsys.readouterr().out == text
 
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "k4.g6"
