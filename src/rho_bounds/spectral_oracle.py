@@ -4,10 +4,17 @@
 computes the characteristic polynomial in exact integer arithmetic and
 isolates its largest real root with a certified bisection.  The two share no
 code path, so their agreement is a meaningful cross-check.
-"""
+
+The characteristic polynomial comes from Faddeev-LeVerrier with each matrix
+row packed into one Python integer of FIELD_BITS-bit signed fields; at
+n <= CHARPOLY_MAX_N every entry fits its field (bound in
+``characteristic_polynomial``), and the exact trace divisions and the
+Cayley-Hamilton check still guard every result.  Root isolation is cached
+per process by (polynomial, maximum degree), an exact key."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +24,7 @@ POWER_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 MAX_ITERATIONS = 10**6
 CHARPOLY_MAX_N = 12
+FIELD_BITS = 64
 ROOT_ENCLOSURE = 1e-13
 
 
@@ -101,7 +109,13 @@ def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> 
 def characteristic_polynomial(g: Graph) -> tuple[int, ...]:
     """Exact integer coefficients of det(xI - A), constant term first.
 
-    Faddeev-LeVerrier recurrence over the integers.  Two built-in checks
+    Faddeev-LeVerrier recurrence over the integers, N_0 = I and
+    N_k = A*N_{k-1} + c_{n-k}*I with c_{n-k} = -tr(A*N_{k-1})/k.  Each row
+    of N is one packed integer with FIELD_BITS-bit signed fields,
+    ``N[i] = sum(N[i][j] << FIELD_BITS*j)``, so a row of A*N is a sum of
+    packed rows over the vertex's neighbors.  Entries of A*N_k are at most
+    2^n (n-1)^(k+1) <= 2^n (n-1)^(n+1) in magnitude, about 1.4e17 < 2^63 at
+    n = CHARPOLY_MAX_N, so every field holds its entry.  Two built-in checks
     guard exactness: every trace division must be exact, and the final
     auxiliary matrix must vanish (Cayley-Hamilton).
     """
@@ -113,27 +127,28 @@ def characteristic_polynomial(g: Graph) -> tuple[int, ...]:
     nbrs = g.neighbors
     c = [0] * (n + 1)
     c[n] = 1
-    # N starts as the identity; each step maps N -> A*N + c*I.  Rows of A
-    # are 0/1, so A*N is a sum of N's rows over each vertex's neighbors.
-    N = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    shifts = [FIELD_BITS * i for i in range(n)]
+    half = 1 << (FIELD_BITS - 1)
+    mask = (1 << FIELD_BITS) - 1
+    # bias adds half to every field, making each nonnegative, so a field
+    # reads back without a borrow from the fields below it
+    bias = sum(half << s for s in shifts)
+    N = [1 << s for s in shifts]
     for k in range(1, n + 1):
         AN = []
-        for i in range(n):
-            row = [0] * n
-            for u in nbrs[i]:
-                nu = N[u]
-                for j in range(n):
-                    row[j] += nu[j]
+        tr = 0
+        for nb, s in zip(nbrs, shifts):
+            row = 0
+            for u in nb:
+                row += N[u]
             AN.append(row)
-        tr = sum(AN[i][i] for i in range(n))
+            tr += (((row + bias) >> s) & mask) - half
         if tr % k:
             raise AssertionError(f"Faddeev-LeVerrier trace {tr} not divisible by {k}")
         ck = -(tr // k)
         c[n - k] = ck
-        for i in range(n):
-            AN[i][i] += ck
-        N = AN
-    if any(x for row in N for x in row):
+        N = [row + (ck << s) for row, s in zip(AN, shifts)]
+    if any(N):
         raise AssertionError("Cayley-Hamilton check failed")
     return tuple(c)
 
@@ -228,15 +243,24 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
     return 0.5 * (lo + hi), hi - lo, iterations
 
 
+# The characteristic polynomial is a graph invariant and the root depends
+# only on (coeffs, upper), so isomorphic graphs share one entry.  The key is
+# exact and the function deterministic: a warm entry returns what a fresh
+# call would, whichever process holds the cache.
+_cached_root = functools.lru_cache(maxsize=1 << 14)(largest_real_root)
+
+
 def spectral_radius_charpoly(g: Graph) -> SpectralResult:
     """Exact-charpoly spectral radius for graphs with at most 12 vertices.
 
     The largest root is bracketed inside [average degree, maximum degree]
     and certified to within ROOT_ENCLOSURE by integer sign tests, so the
     result is independent of the power method in both algorithm and
-    arithmetic.
+    arithmetic.  The root isolation is cached per process under the exact
+    key (characteristic polynomial, maximum degree); the polynomial itself
+    is computed for every graph.
     """
     coeffs = characteristic_polynomial(g)
     d1 = max((len(nb) for nb in g.neighbors), default=0)
-    rho, width, iterations = largest_real_root(coeffs, d1)
+    rho, width, iterations = _cached_root(coeffs, d1)
     return SpectralResult(rho, iterations, width, "charpoly")

@@ -4,8 +4,8 @@ The surd comparator below decides orderings of (a + sqrt(b))/2 values in
 pure integer arithmetic, giving the tests a tie-detection oracle that owes
 nothing to the library's prefix-sum comparison logic.  The structural
 oracles (adjacency invariants, union-find connectivity, the numeric tight
-set, the per-level replay loop, the five-pass power loop) exist only to
-check the library against.
+set, the per-level replay loop, the five-pass power loop, the dense
+Faddeev-LeVerrier loop) exist only to check the library against.
 """
 
 from __future__ import annotations
@@ -27,7 +27,13 @@ from rho_bounds import (
     tight_levels,
 )
 from rho_bounds.equality import EQUALITY_TOL
-from rho_bounds.spectral_oracle import MAX_ITERATIONS, POWER_TOL, RESIDUAL_TOL
+from rho_bounds.spectral_oracle import (
+    CHARPOLY_MAX_N,
+    MAX_ITERATIONS,
+    POWER_TOL,
+    RESIDUAL_TOL,
+    UnsupportedSizeError,
+)
 
 
 def check_invariants(g: Graph) -> None:
@@ -138,6 +144,41 @@ def spectral_radius_power_five_pass(
             w[i] /= norm
         v = w
     raise ConvergenceError("power iteration did not converge", rq)
+
+
+def characteristic_polynomial_dense(g: Graph) -> tuple[int, ...]:
+    """Faddeev-LeVerrier with N held as a list of integer lists."""
+    n = g.n
+    if n > CHARPOLY_MAX_N:
+        raise UnsupportedSizeError(
+            f"characteristic-polynomial method supports n <= {CHARPOLY_MAX_N}, got {n}"
+        )
+    nbrs = g.neighbors
+    c = [0] * (n + 1)
+    c[n] = 1
+    # N starts as the identity; each step maps N -> A*N + c*I.  Rows of A
+    # are 0/1, so A*N is a sum of N's rows over each vertex's neighbors.
+    N = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        AN = []
+        for i in range(n):
+            row = [0] * n
+            for u in nbrs[i]:
+                nu = N[u]
+                for j in range(n):
+                    row[j] += nu[j]
+            AN.append(row)
+        tr = sum(AN[i][i] for i in range(n))
+        if tr % k:
+            raise AssertionError(f"Faddeev-LeVerrier trace {tr} not divisible by {k}")
+        ck = -(tr // k)
+        c[n - k] = ck
+        for i in range(n):
+            AN[i][i] += ck
+        N = AN
+    if any(x for row in N for x in row):
+        raise AssertionError("Cayley-Hamilton check failed")
+    return tuple(c)
 
 
 def compare_half_surds(a1: int, b1: int, a2: int, b2: int) -> int:

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from conftest import random_connected_graph, random_tree, spectral_radius_power_five_pass
+from conftest import (
+    characteristic_polynomial_dense,
+    random_connected_graph,
+    random_graph,
+    random_tree,
+    spectral_radius_power_five_pass,
+)
 from rho_bounds import (
     ConvergenceError,
     Graph,
@@ -16,6 +22,12 @@ from rho_bounds import (
     is_connected,
     spectral_radius_charpoly,
     spectral_radius_power,
+)
+from rho_bounds.spectral_oracle import (
+    CHARPOLY_MAX_N,
+    FIELD_BITS,
+    _cached_root,
+    largest_real_root,
 )
 
 BOTH_METHODS = (spectral_radius_power, spectral_radius_charpoly)
@@ -112,6 +124,90 @@ class TestCharacteristicPolynomial:
         # det(A) for C_4 is 0 (bipartite with repeated eigenvalue 0)
         coeffs = characteristic_polynomial(gen_named("cycle", 4))
         assert coeffs[0] == 0
+
+
+def _mask_graph(n, mask):
+    """The graph whose edge k, in lexicographic (i, j) order, is bit k."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph.from_edges(n, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
+
+
+class TestPackedCharpoly:
+    """Packed-row Faddeev-LeVerrier against the dense list-of-lists loop in
+    conftest: the coefficients are integers, so they must be equal."""
+
+    def test_exhaustive_small(self):
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                assert characteristic_polynomial(g) == characteristic_polynomial_dense(g)
+
+    def test_n7_masks(self):
+        rng = random.Random(7007)
+        for mask in rng.sample(range(1 << 21), 2000):
+            g = _mask_graph(7, mask)
+            assert characteristic_polynomial(g) == characteristic_polynomial_dense(g)
+
+    @pytest.mark.parametrize("n", range(1, CHARPOLY_MAX_N + 1))
+    def test_random_gnp(self, n):
+        rng = random.Random(1200 + n)
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+            for _ in range(4):
+                g = random_graph(rng, n, p)
+                assert characteristic_polynomial(g) == characteristic_polynomial_dense(g)
+
+    def test_extremes(self):
+        for g in (gen_named("complete", CHARPOLY_MAX_N), Graph.from_edges(1, [])):
+            assert characteristic_polynomial(g) == characteristic_polynomial_dense(g)
+
+    def test_field_width_bound(self):
+        # entries of A*N_k are at most 2^n (n-1)^(k+1) with k < n; raising
+        # CHARPOLY_MAX_N past the signed field width must fail here
+        n = CHARPOLY_MAX_N
+        assert 2**n * (n - 1) ** (n + 1) < 2 ** (FIELD_BITS - 1)
+
+
+def _charpoly_outcome(res):
+    return res.rho.hex(), res.iterations, res.residual.hex(), res.method
+
+
+def _uncached_outcome(g):
+    coeffs = characteristic_polynomial(g)
+    d1 = max((len(nb) for nb in g.neighbors), default=0)
+    rho, width, iterations = largest_real_root(coeffs, d1)
+    return rho.hex(), iterations, width.hex(), "charpoly"
+
+
+class TestRootCache:
+    """The cached root isolation returns what the uncached function does,
+    bit for bit, whether the cache is cold or warm."""
+
+    def test_cold_and_warm(self):
+        graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+        expected = [_uncached_outcome(g) for g in graphs]
+        _cached_root.cache_clear()
+        for _ in ("cold", "warm"):
+            got = [_charpoly_outcome(spectral_radius_charpoly(g)) for g in graphs]
+            assert got == expected
+        info = _cached_root.cache_info()
+        assert info.misses == info.currsize < len(graphs)
+
+    def test_cospectral_pair_keeps_its_own_degree(self):
+        # one characteristic polynomial, maximum degrees 5 and 3; the
+        # bisection starts from the degree, so the iteration counts differ
+        g5 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (2, 3)])
+        g3 = Graph.from_edges(6, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3)])
+        assert characteristic_polynomial(g5) == characteristic_polynomial(g3)
+        assert degree_sequence(g5).degrees[0] == 5
+        assert degree_sequence(g3).degrees[0] == 3
+        assert _uncached_outcome(g5) != _uncached_outcome(g3)
+        for first, second in ((g5, g3), (g3, g5)):
+            _cached_root.cache_clear()
+            for g in (first, second, first, second):
+                assert _charpoly_outcome(spectral_radius_charpoly(g)) == _uncached_outcome(g)
+
+    def test_bounded_and_private(self):
+        assert _cached_root.cache_info().maxsize is not None
+        assert not hasattr(largest_real_root, "cache_info")
 
 
 class TestCharpolyRadius:
