@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .equality import EqualityCertificate, classify_equality
 from .graph_core import DegreeSequence
 
 GREATER, EQUAL, LESS = 1, 0, -1
@@ -104,47 +105,12 @@ def compare_step(seq: DegreeSequence, s: int) -> int:
     return GREATER if lhs > rhs else (EQUAL if lhs == rhs else LESS)
 
 
-def min_phi(seq: DegreeSequence) -> tuple[float, int | None, frozenset[int]]:
-    """Minimum of the phi sequence located structurally, without a scan.
-
-    The pivot is the smallest level l in [3, n] whose full prefix satisfies
-    prefix[l] < l(l-1); past it the sequence never decreases again, so
-    phi_pivot is minimal.  A level j attains the minimum iff d_j equals
-    d_pivot, or d_j equals d_{pivot-1} when prefix[pivot-1] equals
-    (pivot-1)(pivot-2) exactly.  When no level qualifies (complete and
-    near-complete sequences) the sequence is non-increasing, the minimum is
-    phi_n, and the levels with the last degree attain it.
-
-    Returns (value, pivot or None, attaining levels).
-    """
-    n = seq.n
-    degrees = seq.degrees
-    prefix = seq.prefix
-    pivot = None
-    for level in range(3, n + 1):
-        if prefix[level] < level * (level - 1):
-            pivot = level
-            break
-    if pivot is None:
-        value = phi(seq, n)
-        d_min = degrees[-1]
-        levels = frozenset(j for j in range(1, n + 1) if degrees[j - 1] == d_min)
-        return value, None, levels
-    value = phi(seq, pivot)
-    d_piv = degrees[pivot - 1]
-    attain = {j for j in range(1, n + 1) if degrees[j - 1] == d_piv}
-    if prefix[pivot - 1] == (pivot - 1) * (pivot - 2):
-        d_prev = degrees[pivot - 2]
-        attain.update(j for j in range(1, n + 1) if degrees[j - 1] == d_prev)
-    return value, pivot, frozenset(attain)
-
-
 @dataclass(frozen=True, slots=True)
 class PhiSequence:
     """All n phi values with the location of their minimum.
 
-    ``argmin_levels`` and ``pivot`` come from the exact integer tests in
-    :func:`min_phi`, not from comparing floats.
+    ``argmin_levels`` and ``pivot`` come from exact integer tests on the
+    degree sequence (see :func:`phi_sequence`), not from comparing floats.
     """
 
     values: tuple[float, ...]
@@ -157,9 +123,29 @@ class PhiSequence:
 
 
 def phi_sequence(seq: DegreeSequence) -> PhiSequence:
-    """Evaluate phi at every level in one prefix-sum pass."""
-    values = tuple(phi(seq, level) for level in range(1, seq.n + 1))
-    _, pivot, argmin_levels = min_phi(seq)
+    """Evaluate phi at every level and locate the minimum without a scan.
+
+    The pivot is the smallest level l in [3, n] whose full prefix satisfies
+    prefix[l] < l(l-1); past it the sequence never decreases again, so
+    phi_pivot is minimal.  A level j attains the minimum iff d_j equals
+    d_pivot, or d_j equals d_{pivot-1} when prefix[pivot-1] equals
+    (pivot-1)(pivot-2) exactly.  When no level qualifies (complete and
+    near-complete sequences) the sequence is non-increasing, the minimum is
+    phi_n, and the levels with the last degree attain it.
+    """
+    n = seq.n
+    degrees = seq.degrees
+    prefix = seq.prefix
+    values = tuple(phi(seq, level) for level in range(1, n + 1))
+    qualifying = (level for level in range(3, n + 1) if prefix[level] < level * (level - 1))
+    pivot = next(qualifying, None)
+    if pivot is None:
+        attaining = {degrees[-1]}
+    else:
+        attaining = {degrees[pivot - 1]}
+        if prefix[pivot - 1] == (pivot - 1) * (pivot - 2):
+            attaining.add(degrees[pivot - 2])
+    argmin_levels = frozenset(j for j in range(1, n + 1) if degrees[j - 1] in attaining)
     return PhiSequence(values, argmin_levels, pivot)
 
 
@@ -184,40 +170,32 @@ def is_graphical(degrees: list[int] | tuple[int, ...]) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class BoundReport:
-    """Every bound for one input, with the spectral radius when available."""
+    """Every bound a degree sequence determines, and its equality certificate.
 
-    n: int
-    m: int
-    rho: float | None
-    phi_at: tuple[float, ...]
-    phi_min: float
-    pivot: int | None
-    argmin_levels: frozenset[int]
+    A report holds nothing that depends on the graph beyond its degree
+    sequence, so equal sequences give equal reports with equal hashes.
+    ``cert`` is None at n=1, where equality is not classified.
+    """
+
+    phis: PhiSequence
     shu_wu: tuple[float, ...]
     hong_shu_fang: float
     hong: float
     stanley: float
     brualdi_hoffman: float
     max_degree: float
-    slack_min: float | None
+    cert: EqualityCertificate | None
 
 
-def bound_report(seq: DegreeSequence, rho: float | None = None) -> BoundReport:
-    """Assemble all bounds for a degree sequence; ``rho`` comes from an oracle."""
-    phis = phi_sequence(seq)
+def bound_report(seq: DegreeSequence) -> BoundReport:
+    """Assemble all bounds and the equality certificate for a degree sequence."""
     return BoundReport(
-        n=seq.n,
-        m=seq.m,
-        rho=rho,
-        phi_at=phis.values,
-        phi_min=phis.minimum,
-        pivot=phis.pivot,
-        argmin_levels=phis.argmin_levels,
+        phis=phi_sequence(seq),
         shu_wu=tuple(bound_shu_wu(seq, level) for level in range(1, seq.n + 1)),
         hong_shu_fang=bound_hong_shu_fang(seq),
         hong=bound_hong(seq),
         stanley=bound_stanley(seq.m),
         brualdi_hoffman=bound_brualdi_hoffman(seq.m),
         max_degree=bound_max_degree(seq),
-        slack_min=(phis.minimum - rho) if rho is not None else None,
+        cert=classify_equality(seq) if seq.n >= 2 else None,
     )

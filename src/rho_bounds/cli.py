@@ -17,7 +17,6 @@ import json
 import sys
 
 from .bounds import bound_report, is_graphical
-from .equality import classify_equality
 from .graph_core import (
     DegreeSequence,
     Graph,
@@ -96,19 +95,21 @@ def cmd_bound(args) -> int:
         rho = spectral_radius_power(g).rho
         ident = encode_graph6(g)
 
-    report = bound_report(seq, rho)
-    cert = classify_equality(seq) if seq.n >= 2 else None
+    report = bound_report(seq)
+    phis = report.phis
+    cert = report.cert
+    slack_min = phis.minimum - rho if rho is not None else None
 
     if args.output == "json":
         doc = {
             "id": ident,
-            "n": report.n,
-            "m": report.m,
-            "rho": report.rho,
-            "phi": list(report.phi_at),
-            "phi_min": report.phi_min,
-            "pivot": report.pivot,
-            "argmin_levels": sorted(report.argmin_levels),
+            "n": seq.n,
+            "m": seq.m,
+            "rho": rho,
+            "phi": list(phis.values),
+            "phi_min": phis.minimum,
+            "pivot": phis.pivot,
+            "argmin_levels": sorted(phis.argmin_levels),
             "shu_wu": list(report.shu_wu),
             "hong_shu_fang": report.hong_shu_fang,
             "hong": report.hong,
@@ -118,29 +119,29 @@ def cmd_bound(args) -> int:
             "cert_kind": cert.kind if cert else None,
             "cert_t": cert.t if cert else None,
             "predicted_tight_levels": sorted(cert.predicted_tight_levels) if cert else [],
-            "slack_min": report.slack_min,
+            "slack_min": slack_min,
         }
         print(json.dumps(doc))
         return 0
 
     if args.output == "csv":
-        _CsvReport(sys.stdout).add_row(report_row(ident, report, cert))
+        _CsvReport(sys.stdout).add_row(report_row(ident, seq, report, rho))
         return 0
 
     print(f"input: {ident}")
-    print(f"n={report.n} m={report.m}")
-    if report.rho is not None:
-        print(f"rho={report.rho!r} (power iteration)")
+    print(f"n={seq.n} m={seq.m}")
+    if rho is not None:
+        print(f"rho={rho!r} (power iteration)")
     print("level  degree  phi                 shu_wu")
-    for level in range(1, report.n + 1):
+    for level in range(1, seq.n + 1):
         print(
             f"{level:5d}  {seq.degrees[level - 1]:6d}  "
-            f"{report.phi_at[level - 1]!r:<18}  {report.shu_wu[level - 1]!r}"
+            f"{phis.values[level - 1]!r:<18}  {report.shu_wu[level - 1]!r}"
         )
-    pivot = report.pivot if report.pivot is not None else "none"
+    pivot = phis.pivot if phis.pivot is not None else "none"
     print(
-        f"phi_min={report.phi_min!r} pivot={pivot} "
-        f"argmin_levels={_levels_str(report.argmin_levels)}"
+        f"phi_min={phis.minimum!r} pivot={pivot} "
+        f"argmin_levels={_levels_str(phis.argmin_levels)}"
     )
     print(
         f"hong_shu_fang={report.hong_shu_fang!r} hong={report.hong!r} "
@@ -153,8 +154,8 @@ def cmd_bound(args) -> int:
             + (f" t={cert.t}" if cert.t is not None else "")
             + f" predicted_tight_levels={_levels_str(cert.predicted_tight_levels)}"
         )
-    if report.slack_min is not None:
-        print(f"slack_min={report.slack_min!r}")
+    if slack_min is not None:
+        print(f"slack_min={slack_min!r}")
     return 0
 
 
@@ -218,7 +219,6 @@ def cmd_verify(args) -> int:
         checks=checks,
         tol=args.tol,
         jobs=args.jobs,
-        allow_large=args.allow_large,
     )
     report = _CsvReport(sys.stdout) if args.output == "csv" else _JsonReport(sys.stdout)
     result = run_campaign(cfg, row_sink=report.add_row)
@@ -246,7 +246,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    for g in enumerate_connected(args.n, allow_large=args.allow_large):
+    for g in enumerate_connected(args.n):
         print(encode_graph6(g))
     return 0
 
@@ -316,13 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--output", default="csv", choices=("csv", "json"))
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="worker processes (default 1)")
-    p_verify.add_argument("--allow-large", action="store_true",
-                          help="unlock n=8 enumeration")
     p_verify.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="emit graph6 stream for n")
     p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--allow-large", action="store_true")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_replay = sub.add_parser("replay", help="row-sum certificate for one graph")

@@ -362,22 +362,16 @@ def gen_join_dominating(n: int, t: int, r: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 ENUMERATION_MAX_N = 7
-ENUMERATION_MAX_N_LARGE = 8
 
 
-def check_enumeration_n(n: int, allow_large: bool = False) -> None:
+def check_enumeration_n(n: int) -> None:
     """Raise ValueError unless :func:`enumerate_connected` accepts n."""
-    limit = ENUMERATION_MAX_N_LARGE if allow_large else ENUMERATION_MAX_N
-    if not 1 <= n <= limit:
-        hint = " (pass allow_large for n=8)" if n == 8 and not allow_large else ""
-        raise ValueError(f"enumeration supports 1 <= n <= {limit}, got {n}{hint}")
+    if not 1 <= n <= ENUMERATION_MAX_N:
+        raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}, got {n}")
 
 
 def enumerate_connected(
-    n: int,
-    *,
-    allow_large: bool = False,
-    mask_range: tuple[int, int] | None = None,
+    n: int, *, mask_range: tuple[int, int] | None = None
 ) -> Iterator[Graph]:
     """Every labeled connected simple graph on n vertices, exactly once.
 
@@ -386,7 +380,7 @@ def enumerate_connected(
     order, so the stream is deterministic.  ``mask_range`` restricts the
     scan to [start, stop) so callers can partition the work.
     """
-    check_enumeration_n(n, allow_large)
+    check_enumeration_n(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     total = 1 << len(pairs)
     start, stop = mask_range if mask_range is not None else (0, total)

@@ -17,8 +17,9 @@ import time
 from dataclasses import dataclass, field
 
 from .bounds import GREATER, LESS, BoundReport, bound_report, compare_step
-from .equality import EQUALITY_TOL, REGULAR, EqualityCertificate, classify_equality, tight_levels
+from .equality import EQUALITY_TOL, REGULAR, tight_levels
 from .graph_core import (
+    DegreeSequence,
     Graph,
     GraphParseError,
     check_enumeration_n,
@@ -59,12 +60,13 @@ _FILE_CHUNK = 5000
 
 
 # ---------------------------------------------------------------------------
-# checks: each takes one graph's values and the tolerance table and returns
+# checks: each takes one graph, its degree sequence, the sequence's bound
+# report, the graph's rho and the tolerance table, and returns
 # (violation details, whether the graph counts as a tight instance)
 # ---------------------------------------------------------------------------
 
-def _soundness(g, seq, report, cert, rho, tols):
-    values = report.phi_at
+def _soundness(g, seq, report, rho, tols):
+    values = report.phis.values
     vmin = min(values)
     details = []
     if rho > vmin + tols["soundness"]:
@@ -73,11 +75,12 @@ def _soundness(g, seq, report, cert, rho, tols):
     return details, abs(rho - vmin) <= tols["tight"]
 
 
-def _dominance(g, seq, report, cert, rho, tols):
+def _dominance(g, seq, report, rho, tols):
     details = []
     tight = False
     d1 = seq.degrees[0]
-    for level, (v, sw) in enumerate(zip(report.phi_at, report.shu_wu), start=1):
+    values = report.phis.values
+    for level, (v, sw) in enumerate(zip(values, report.shu_wu), start=1):
         if v > sw + tols["dominance"]:
             details.append(f"phi_{level}={v!r} exceeds shu_wu_{level}={sw!r}")
         # at levels with d_level = d_1 the two formulas coincide; a tie
@@ -85,16 +88,17 @@ def _dominance(g, seq, report, cert, rho, tols):
         if v == sw and seq.degrees[level - 1] < d1:
             tight = True
     hsf = report.hong_shu_fang
-    if abs(report.phi_at[-1] - hsf) > math.ulp(max(abs(hsf), 1.0)):
-        details.append(f"phi_n={report.phi_at[-1]!r} != hong_shu_fang={hsf!r}")
+    if abs(values[-1] - hsf) > math.ulp(max(abs(hsf), 1.0)):
+        details.append(f"phi_n={values[-1]!r} != hong_shu_fang={hsf!r}")
     return details, tight
 
 
-def _equality(g, seq, report, cert, rho, tols):
+def _equality(g, seq, report, rho, tols):
+    cert = report.cert
     if cert is None:
         return [], False
     details = []
-    numeric = tight_levels(report.phi_at, rho, tols["equality"])
+    numeric = tight_levels(report.phis.values, rho, tols["equality"])
     if numeric != cert.predicted_tight_levels:
         details.append(
             f"predicted {sorted(cert.predicted_tight_levels)} "
@@ -104,9 +108,10 @@ def _equality(g, seq, report, cert, rho, tols):
     return details, bool(cert.predicted_tight_levels)
 
 
-def _unimodality(g, seq, report, cert, rho, tols):
+def _unimodality(g, seq, report, rho, tols):
     details = []
-    values = report.phi_at
+    phis = report.phis
+    values = phis.values
     tol = tols["comparator"]
     seen_less = False
     for s in range(1, seq.n):
@@ -124,15 +129,16 @@ def _unimodality(g, seq, report, cert, rho, tols):
             )
     vmin = min(values)
     scan = frozenset(j for j, v in enumerate(values, start=1) if v <= vmin + tol)
-    if scan != report.argmin_levels or abs(report.phi_min - vmin) > tol:
+    if scan != phis.argmin_levels or abs(phis.minimum - vmin) > tol:
         details.append(
-            f"structural argmin {sorted(report.argmin_levels)} "
-            f"(pivot {report.pivot}) != scanned argmin {sorted(scan)}"
+            f"structural argmin {sorted(phis.argmin_levels)} "
+            f"(pivot {phis.pivot}) != scanned argmin {sorted(scan)}"
         )
-    return details, report.pivot is None  # counts pivot-fallback inputs
+    return details, phis.pivot is None  # counts pivot-fallback inputs
 
 
-def _replay(g, seq, report, cert, rho, tols):
+def _replay(g, seq, report, rho, tols):
+    cert = report.cert
     details = []
     tight = False
     tol, tight_tol = tols["replay"], tols["tight"]
@@ -164,7 +170,7 @@ def _replay(g, seq, report, cert, rho, tols):
     return details, tight
 
 
-def _oracle(g, seq, report, cert, rho, tols):
+def _oracle(g, seq, report, rho, tols):
     if seq.n > CHARPOLY_MAX_N:
         return [], False
     details = []
@@ -194,15 +200,18 @@ _CHECK_FUNCTIONS = {
 CHECKS = tuple(_CHECK_FUNCTIONS)
 
 
-def report_row(ident: str, report: BoundReport, cert: EqualityCertificate | None) -> tuple:
-    """One report row, laid out as CSV_COLUMNS."""
+def report_row(ident: str, seq: DegreeSequence, report: BoundReport, rho: float | None) -> tuple:
+    """One report row, laid out as CSV_COLUMNS; ``rho`` None leaves rho and
+    slack_min empty."""
+    phis = report.phis
+    cert = report.cert
     return (
-        ident, report.n, report.m, report.rho, report.phi_min, report.pivot,
-        report.phi_at[-1], report.hong_shu_fang, report.hong, report.stanley,
+        ident, seq.n, seq.m, rho, phis.minimum, phis.pivot,
+        phis.values[-1], report.hong_shu_fang, report.hong, report.stanley,
         report.brualdi_hoffman, report.max_degree,
         cert.kind if cert is not None else "",
         cert.t if cert is not None else None,
-        report.slack_min,
+        phis.minimum - rho if rho is not None else None,
     )
 
 
@@ -220,7 +229,6 @@ class CampaignConfig:
     checks: tuple[str, ...] = CHECKS
     tol: float | None = None
     jobs: int = 1
-    allow_large: bool = False
 
 
 @dataclass
@@ -244,12 +252,14 @@ def validate_config(cfg: CampaignConfig) -> None:
     unknown = [c for c in cfg.checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; valid checks: {CHECKS}")
+    if cfg.tol is not None and not math.isfinite(cfg.tol):
+        raise ValueError(f"tol must be finite, got {cfg.tol}")
     if cfg.tol is not None and cfg.tol <= 0:
         raise ValueError(f"tol must be positive, got {cfg.tol}")
     if cfg.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
     if cfg.source == "enumerate":
-        check_enumeration_n(cfg.n, cfg.allow_large)
+        check_enumeration_n(cfg.n)
 
 
 def _examine_graph(g: Graph, checks: tuple[str, ...], tols: dict):
@@ -259,17 +269,16 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], tols: dict):
     """
     seq = degree_sequence(g)
     rho = spectral_radius_power(g).rho
-    report = bound_report(seq, rho)
-    cert = classify_equality(seq) if seq.n >= 2 else None
+    report = bound_report(seq)
     ident = encode_graph6(g)
     violations = []
     tight = []
     for name in checks:
-        details, is_tight = _CHECK_FUNCTIONS[name](g, seq, report, cert, rho, tols)
+        details, is_tight = _CHECK_FUNCTIONS[name](g, seq, report, rho, tols)
         violations.extend((ident, name, detail) for detail in details)
         if is_tight:
             tight.append(name)
-    return report_row(ident, report, cert), violations, tight
+    return report_row(ident, seq, report, rho), violations, tight
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +286,12 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], tols: dict):
 # ---------------------------------------------------------------------------
 
 def _chunks(cfg: CampaignConfig) -> list[tuple]:
-    """Split the source into picklable chunks: ("enumerate", (n, allow_large,
-    start, stop)), ("graph6", (first_record, lines)) or ("edgelist", text)."""
+    """Split the source into picklable chunks: ("enumerate", (n, start, stop)),
+    ("graph6", (first_record, lines)) or ("edgelist", text)."""
     if cfg.source == "enumerate":
         total = enumeration_space(cfg.n)
         return [
-            ("enumerate", (cfg.n, cfg.allow_large, start, min(start + _ENUM_CHUNK, total)))
+            ("enumerate", (cfg.n, start, min(start + _ENUM_CHUNK, total)))
             for start in range(0, total, _ENUM_CHUNK)
         ]
     with open(cfg.path, "r", encoding="ascii") as fh:
@@ -299,8 +308,8 @@ def _chunks(cfg: CampaignConfig) -> list[tuple]:
 def _chunk_graphs(kind: str, payload):
     """Yield the graphs of a chunk in source order."""
     if kind == "enumerate":
-        n, allow_large, start, stop = payload
-        yield from enumerate_connected(n, allow_large=allow_large, mask_range=(start, stop))
+        n, start, stop = payload
+        yield from enumerate_connected(n, mask_range=(start, stop))
     elif kind == "graph6":
         first_record, lines = payload
         for record, line in enumerate(lines, start=first_record):
@@ -350,7 +359,8 @@ def run_campaign(cfg: CampaignConfig, row_sink=None) -> CampaignResult:
     with contextlib.ExitStack() as stack:
         outcomes = map(run, chunks)
         if cfg.jobs > 1 and len(chunks) > 1:
-            outcomes = stack.enter_context(multiprocessing.Pool(cfg.jobs)).imap(run, chunks)
+            pool = multiprocessing.Pool(min(cfg.jobs, len(chunks)))
+            outcomes = stack.enter_context(pool).imap(run, chunks)
         for rows, violations, skipped, tights in outcomes:
             if row_sink is not None:
                 for row in rows:

@@ -69,16 +69,9 @@ class ScalingCertificate:
         return None
 
 
-def scaling_vector(seq: DegreeSequence, level: int) -> tuple[float, ...]:
-    """Scaling factors x_i = 1 + (d_i - d_level) / (phi_level + 1), i < level.
-
-    Each factor is at least 1 because the degrees are sorted.  Empty at
-    level 1.
-    """
-    return _scaling(seq.degrees, level, phi(seq, level))  # phi validates the level
-
-
 def _scaling(degrees, level: int, value: float) -> tuple[float, ...]:
+    """Scaling factors x_i = 1 + (d_i - d_level) / (phi_level + 1), i < level:
+    each at least 1 because the degrees are sorted, none at level 1."""
     d_level = degrees[level - 1]
     den = value + 1.0
     return tuple([1.0 + (d - d_level) / den for d in degrees[:level - 1]])

@@ -26,7 +26,6 @@ from rho_bounds import (
     bound_stanley,
     compare_step,
     gen_named,
-    min_phi,
     phi,
     phi_sequence,
     run_campaign,
@@ -209,8 +208,9 @@ def test_criterion_07_minimum_location(
     assert exhaustive_seven.tight_instances["unimodality"] == 1
     fallbacks = 0
     for seq in random_sequences:
-        value, pivot, levels = min_phi(seq)
-        values = phi_sequence(seq).values
+        phis = phi_sequence(seq)
+        value, pivot, levels = phis.minimum, phis.pivot, phis.argmin_levels
+        values = phis.values
         vmin = min(values)
         scanned = frozenset(
             j for j in range(1, seq.n + 1) if values[j - 1] <= vmin + COMPARATOR_TOL

@@ -11,10 +11,12 @@ from conftest import (
     random_degree_sequence,
 )
 from rho_bounds import (
+    CSV_COLUMNS,
     EQUAL,
     GREATER,
     LESS,
     DegreeSequence,
+    Graph,
     bound_brualdi_hoffman,
     bound_hong,
     bound_hong_shu_fang,
@@ -22,12 +24,16 @@ from rho_bounds import (
     bound_report,
     bound_shu_wu,
     bound_stanley,
+    classify_equality,
     compare_step,
+    degree_sequence,
+    enumerate_connected,
     is_graphical,
-    min_phi,
     phi,
     phi_sequence,
+    spectral_radius_power,
 )
+from rho_bounds.harness import report_row
 
 
 def seq_of(*degrees) -> DegreeSequence:
@@ -248,43 +254,47 @@ class TestCompareStep:
 
 
 class TestMinPhi:
+    """The structural minimum of ``phi_sequence``: pivot and argmin levels."""
+
     def test_pivot_case(self):
-        value, pivot, levels = min_phi(seq_of(2, 2, 1, 1))
-        assert value == math.sqrt(3)
-        assert pivot == 3
-        assert levels == frozenset({3, 4})
+        phis = phi_sequence(seq_of(2, 2, 1, 1))
+        assert phis.minimum == math.sqrt(3)
+        assert phis.pivot == 3
+        assert phis.argmin_levels == frozenset({3, 4})
 
     def test_plateau_before_pivot(self):
-        value, pivot, levels = min_phi(seq_of(2, 2, 2, 2, 1, 1))
-        assert value == 2.0
-        assert pivot == 4
-        assert levels == frozenset({1, 2, 3, 4})
+        phis = phi_sequence(seq_of(2, 2, 2, 2, 1, 1))
+        assert phis.minimum == 2.0
+        assert phis.pivot == 4
+        assert phis.argmin_levels == frozenset({1, 2, 3, 4})
 
     def test_secondary_clause(self):
         # prefix[4] = 12 = 4*3 marries level 4 into the argmin of pivot 5
-        value, pivot, levels = min_phi(seq_of(4, 3, 3, 2, 1, 1))
-        assert value == 3.0
-        assert pivot == 5
-        assert levels == frozenset({4, 5, 6})
+        phis = phi_sequence(seq_of(4, 3, 3, 2, 1, 1))
+        assert phis.minimum == 3.0
+        assert phis.pivot == 5
+        assert phis.argmin_levels == frozenset({4, 5, 6})
 
     def test_complete_fallback(self):
         for n in range(1, 8):
-            value, pivot, levels = min_phi(DegreeSequence.from_degrees([n - 1] * n))
-            assert pivot is None
-            assert value == float(n - 1)
-            assert levels == frozenset(range(1, n + 1))
+            phis = phi_sequence(DegreeSequence.from_degrees([n - 1] * n))
+            assert phis.pivot is None
+            assert phis.minimum == float(n - 1)
+            assert phis.argmin_levels == frozenset(range(1, n + 1))
 
     @given(degree_sequences())
     def test_matches_exact_scan(self, seq):
-        value, pivot, levels = min_phi(seq)
+        phis = phi_sequence(seq)
+        levels = phis.argmin_levels
         assert levels == exact_phi_argmin(seq)
         values = [phi(seq, level) for level in range(1, seq.n + 1)]
-        assert value == values[min(levels) - 1]
-        assert min(values) <= value <= min(values) + 1e-12
+        assert phis.values == tuple(values)
+        assert phis.minimum == values[min(levels) - 1]
+        assert min(values) <= phis.minimum <= min(values) + 1e-12
 
     @given(degree_sequences())
     def test_pivot_definition(self, seq):
-        _, pivot, _ = min_phi(seq)
+        pivot = phi_sequence(seq).pivot
         qualifying = [
             level for level in range(3, seq.n + 1)
             if seq.prefix[level] < level * (level - 1)
@@ -345,30 +355,50 @@ class TestGraphical:
 class TestBoundReport:
     def test_fields(self):
         seq = seq_of(4, 3, 3, 2, 1, 1)
-        report = bound_report(seq, rho=3.0)
-        assert report.n == 6 and report.m == 7
-        assert report.phi_at[3] == report.phi_at[4] == 3.0
-        assert report.phi_at[-1] == report.hong_shu_fang
-        assert report.pivot == 5
-        assert report.slack_min == report.phi_min - 3.0
+        report = bound_report(seq)
+        assert report.phis == phi_sequence(seq)
+        assert report.phis.values[3] == report.phis.values[4] == 3.0
+        assert report.phis.values[-1] == report.hong_shu_fang
+        assert report.phis.pivot == 5
         assert report.max_degree == 4.0
+        assert report.cert == classify_equality(seq)
 
     def test_without_rho(self):
-        report = bound_report(seq_of(2, 1, 1))
-        assert report.rho is None and report.slack_min is None
+        # the report is the sequence's alone; the row adds the graph's rho
+        seq = seq_of(2, 1, 1)
+        report = bound_report(seq)
+        for name in ("rho", "slack_min", "n", "m"):
+            assert not hasattr(report, name)
+        row = dict(zip(CSV_COLUMNS, report_row("Bg", seq, report, None)))
+        assert row["rho"] is None and row["slack_min"] is None
+        row = dict(zip(CSV_COLUMNS, report_row("Bg", seq, report, 1.25)))
+        assert (row["n"], row["m"], row["rho"]) == (3, 2, 1.25)
+        assert row["slack_min"] == report.phis.minimum - 1.25
+
+    def test_no_certificate_at_n1(self):
+        assert bound_report(seq_of(0)).cert is None
+        assert bound_report(seq_of(1, 1)).cert is not None
+
+    def test_one_report_per_sequence(self):
+        # two labelings of the path 0-1-2-3 plus a pendant at 1, and a
+        # non-isomorphic graph with the same degrees (3, 2, 1, 1, 1)
+        graphs = [
+            Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)]),
+            Graph.from_edges(5, [(4, 3), (3, 2), (2, 1), (3, 0)]),
+            Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)]),
+        ]
+        reports = [bound_report(degree_sequence(g)) for g in graphs]
+        assert reports[0] == reports[1] == reports[2]
+        assert len({hash(r) for r in reports}) == 1
+        assert reports[0] != bound_report(seq_of(2, 2, 2, 1, 1))
 
     def test_rho_below_every_bound(self):
-        from rho_bounds import (
-            degree_sequence,
-            enumerate_connected,
-            spectral_radius_power,
-        )
-
         for g in enumerate_connected(5):
-            report = bound_report(degree_sequence(g), spectral_radius_power(g).rho)
+            report = bound_report(degree_sequence(g))
+            rho = spectral_radius_power(g).rho
             for value in (
-                report.phi_min, report.hong_shu_fang, report.hong, report.stanley,
-                report.brualdi_hoffman, report.max_degree, *report.phi_at,
+                report.phis.minimum, report.hong_shu_fang, report.hong, report.stanley,
+                report.brualdi_hoffman, report.max_degree, *report.phis.values,
                 *report.shu_wu,
             ):
-                assert report.rho <= value + 1e-9
+                assert rho <= value + 1e-9

@@ -137,8 +137,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     @pytest.mark.parametrize(
-        "bad", [["--n", "9"], ["--n", "4", "--checks", "bogus"], ["--n", "4", "--tol", "-1"]],
-        ids=["n9", "checks_bogus", "tol_negative"],
+        "bad", [["--n", "9"], ["--n", "4", "--checks", "bogus"], ["--n", "4", "--tol", "-1"],
+                ["--n", "4", "--tol", "nan"]],
+        ids=["n9", "checks_bogus", "tol_negative", "tol_nan"],
     )
     def test_config_error_leaves_stdout_empty(self, bad, output, capsys):
         assert run(["verify", *bad, "--output", output]) == 2
@@ -199,7 +200,9 @@ class TestEnumerate:
 
     def test_large_gate(self, capsys):
         assert run(["enumerate", "--n", "8"]) == 2
-        assert "allow_large" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1 <= n <= 7, got 8" in captured.err
 
 
 # sqrt(3) as repr prints it, and the float just above it

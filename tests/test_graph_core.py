@@ -303,16 +303,15 @@ class TestEnumerateConnected:
         assert lo + hi == full
 
     def test_large_needs_override(self):
-        with pytest.raises(ValueError, match="allow_large"):
+        # n=8 has no override: it gets the plain range error
+        with pytest.raises(ValueError, match=r"1 <= n <= 7, got 8$"):
             next(enumerate_connected(8))
-        stream = enumerate_connected(8, allow_large=True, mask_range=(0, 4096))
-        assert all(g.n == 8 for g in stream)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             next(enumerate_connected(0))
-        with pytest.raises(ValueError):
-            next(enumerate_connected(9, allow_large=True))
+        with pytest.raises(ValueError, match="got 9"):
+            next(enumerate_connected(9))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import tracemalloc
 
 import pytest
 
+import rho_bounds
+from rho_bounds import harness
 from rho_bounds import (
     CampaignConfig,
     CHECKS,
@@ -151,6 +153,8 @@ class TestConfigValidation:
             dict(source="enumerate", n=9),
             dict(source="enumerate", n=0),
             dict(source="enumerate", n=8),
+            dict(source="enumerate", n=3, tol=float("nan")),
+            dict(source="enumerate", n=3, tol=float("inf")),
         ],
     )
     def test_rejected(self, kwargs):
@@ -173,3 +177,51 @@ class TestConfigValidation:
         assert set(CHECKS) == {
             "soundness", "dominance", "equality", "unimodality", "replay", "oracle"
         }
+
+    def test_every_export_resolves(self):
+        assert len(set(rho_bounds.__all__)) == len(rho_bounds.__all__)
+        for name in rho_bounds.__all__:
+            assert getattr(rho_bounds, name) is not None, name
+
+
+class _InlinePool:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, func, iterable):
+        return map(func, iterable)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("jobs, chunks, size", [(8, 3, 3), (2, 3, 2)])
+    def test_pool_never_exceeds_chunks(self, jobs, chunks, size, tmp_path, monkeypatch):
+        path = tmp_path / "three.g6"
+        path.write_text("C~\nCh\nBw\n")
+        monkeypatch.setattr(harness, "_FILE_CHUNK", 1)
+        monkeypatch.setattr(harness.multiprocessing, "Pool", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        cfg = dict(source="graph6", path=str(path))
+        assert len(harness._chunks(CampaignConfig(**cfg))) == chunks
+        rows, serial_rows = [], []
+        result = run_campaign(CampaignConfig(**cfg, jobs=jobs), row_sink=rows.append)
+        assert _InlinePool.sizes == [size]
+        serial = run_campaign(CampaignConfig(**cfg), row_sink=serial_rows.append)
+        assert _InlinePool.sizes == [size]  # jobs=1 starts no pool
+        assert rows == serial_rows
+        assert result.tight_instances == serial.tight_instances
+
+    def test_single_chunk_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(harness.multiprocessing, "Pool", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        run_campaign(CampaignConfig(source="enumerate", n=4, jobs=8))
+        assert _InlinePool.sizes == []

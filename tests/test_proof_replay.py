@@ -7,7 +7,7 @@ from conftest import random_connected_graph, random_tree, row_sums_scaled_per_le
 from rho_bounds import (
     CertificateViolationError,
     DOMINATING,
-    DegreeSequence,
+    Graph,
     REGULAR,
     classify_equality,
     degree_sequence,
@@ -17,40 +17,40 @@ from rho_bounds import (
     phi,
     replay_levels,
     row_sums_scaled,
-    scaling_vector,
     spectral_radius_power,
 )
 
 
-def seq_of(*degrees):
-    return DegreeSequence.from_degrees(degrees)
-
-
 class TestScalingVector:
+    """x_i = 1 + (d_i - d_level) / (phi_level + 1), read from the replay."""
+
     def test_regular_all_ones(self):
-        s = seq_of(2, 2, 2, 2)
+        g = gen_named("cycle", 4)  # degrees (2, 2, 2, 2)
         for level in range(1, 5):
-            assert scaling_vector(s, level) == (1.0,) * (level - 1)
+            assert row_sums_scaled(g, level).x == (1.0,) * (level - 1)
 
     def test_star_level_two(self):
-        (x1,) = scaling_vector(seq_of(3, 1, 1, 1), 2)
+        (x1,) = row_sums_scaled(gen_named("star", 4), 2).x  # degrees (3, 1, 1, 1)
         assert abs(x1 - math.sqrt(3)) <= 1e-15
 
     def test_mixed_sequence(self):
-        x = scaling_vector(seq_of(4, 3, 3, 2, 1, 1), 4)
-        assert x == (1.5, 1.25, 1.25)
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (2, 3)])
+        assert degree_sequence(g).degrees == (4, 3, 3, 2, 1, 1)
+        assert row_sums_scaled(g, 4).x == (1.5, 1.25, 1.25)
 
     def test_empty_at_level_one(self):
-        assert scaling_vector(seq_of(3, 1, 1, 1), 1) == ()
+        assert row_sums_scaled(gen_named("star", 4), 1).x == ()
 
     def test_at_least_one(self):
-        s = seq_of(5, 4, 3, 2, 1, 1)
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+                                 (1, 2), (1, 3), (1, 4), (2, 5)])
+        assert degree_sequence(g).degrees == (5, 4, 3, 2, 2, 2)
         for level in range(1, 7):
-            assert all(x >= 1.0 for x in scaling_vector(s, level))
+            assert all(x >= 1.0 for x in row_sums_scaled(g, level).x)
 
     def test_level_out_of_range(self):
         with pytest.raises(ValueError):
-            scaling_vector(seq_of(1, 1), 3)
+            row_sums_scaled(Graph.from_edges(2, [(0, 1)]), 3)
 
 
 class TestRowSums:
