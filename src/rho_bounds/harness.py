@@ -23,7 +23,6 @@ from .graph_core import (
     Graph,
     GraphParseError,
     check_enumeration_n,
-    degree_sequence,
     encode_graph6,
     enumerate_connected,
     enumeration_space,
@@ -60,9 +59,12 @@ _FILE_CHUNK = 5000
 
 
 # ---------------------------------------------------------------------------
-# checks: each takes one graph, its degree sequence, the sequence's bound
-# report, the graph's rho and the tolerance table, and returns
-# (violation details, whether the graph counts as a tight instance)
+# checks: each returns (violation details, whether the graph counts as a
+# tight instance).  A graph check takes the graph, its degree sequence, the
+# sequence's bound report, the graph's rho and the tolerance table; a
+# sequence check takes only the sequence, its report and the tolerances, so
+# its details never name the graph and one result serves every graph with
+# that sequence.
 # ---------------------------------------------------------------------------
 
 def _soundness(g, seq, report, rho, tols):
@@ -75,7 +77,7 @@ def _soundness(g, seq, report, rho, tols):
     return details, abs(rho - vmin) <= tols["tight"]
 
 
-def _dominance(g, seq, report, rho, tols):
+def _dominance(seq, report, tols):
     details = []
     tight = False
     d1 = seq.degrees[0]
@@ -108,7 +110,7 @@ def _equality(g, seq, report, rho, tols):
     return details, bool(cert.predicted_tight_levels)
 
 
-def _unimodality(g, seq, report, rho, tols):
+def _unimodality(seq, report, tols):
     details = []
     phis = report.phis
     values = phis.values
@@ -186,18 +188,20 @@ def _oracle(g, seq, report, rho, tols):
     return details, gap <= tols["oracle_tight"]
 
 
-#: Check name -> check function, in canonical (report) order.  'oracle'
-#: cross-validates the two spectral methods and is only meaningful for
-#: graphs small enough for the exact characteristic polynomial.
-_CHECK_FUNCTIONS = {
+#: Check names in canonical (report) order.  'oracle' cross-validates the
+#: two spectral methods and is only meaningful for graphs small enough for
+#: the exact characteristic polynomial.
+CHECKS = ("soundness", "dominance", "equality", "unimodality", "replay", "oracle")
+_GRAPH_CHECKS = {
     "soundness": _soundness,
-    "dominance": _dominance,
     "equality": _equality,
-    "unimodality": _unimodality,
     "replay": _replay,
     "oracle": _oracle,
 }
-CHECKS = tuple(_CHECK_FUNCTIONS)
+_SEQUENCE_CHECKS = {
+    "dominance": _dominance,
+    "unimodality": _unimodality,
+}
 
 
 def report_row(ident: str, seq: DegreeSequence, report: BoundReport, rho: float | None) -> tuple:
@@ -249,9 +253,14 @@ def validate_config(cfg: CampaignConfig) -> None:
             raise ValueError("enumerate source requires n")
     elif cfg.path is None:
         raise ValueError(f"{cfg.source} source requires a path")
+    if not cfg.checks:
+        raise ValueError(f"no checks given; valid checks: {CHECKS}")
     unknown = [c for c in cfg.checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; valid checks: {CHECKS}")
+    repeated = sorted({c for c in cfg.checks if cfg.checks.count(c) > 1})
+    if repeated:
+        raise ValueError(f"checks given more than once: {repeated}")
     if cfg.tol is not None and not math.isfinite(cfg.tol):
         raise ValueError(f"tol must be finite, got {cfg.tol}")
     if cfg.tol is not None and cfg.tol <= 0:
@@ -262,19 +271,47 @@ def validate_config(cfg: CampaignConfig) -> None:
         check_enumeration_n(cfg.n)
 
 
-def _examine_graph(g: Graph, checks: tuple[str, ...], tols: dict):
+#: The memo's marker for a degree sequence seen once in the chunk.
+_SEEN = object()
+
+
+def _sequence_entry(degrees: tuple[int, ...], checks: tuple[str, ...], tols: dict) -> tuple:
+    """The part of every check that depends only on the degree sequence:
+    (seq, report, {sequence check name: (details, tight)})."""
+    seq = DegreeSequence.from_degrees(degrees)
+    report = bound_report(seq)
+    results = {
+        name: check(seq, report, tols)
+        for name, check in _SEQUENCE_CHECKS.items() if name in checks
+    }
+    return seq, report, results
+
+
+def _examine_graph(g: Graph, checks: tuple[str, ...], tols: dict, memo: dict):
     """Run the enabled checks (canonical order) on one connected graph.
 
-    Returns (row, violations, names of checks tight here).
+    ``memo`` maps sorted degree tuples to ``_sequence_entry`` results for
+    one chunk, whose checks and tolerances are fixed.  A sequence's first
+    sighting stores only ``_SEEN``, and its second the entry, so a corpus
+    of distinct sequences holds no reports.  Returns (row, violations,
+    names of checks tight here).
     """
-    seq = degree_sequence(g)
+    degrees = tuple(sorted(map(len, g.neighbors), reverse=True))
+    entry = memo.get(degrees)
+    if entry is None or entry is _SEEN:
+        fresh = _sequence_entry(degrees, checks, tols)
+        memo[degrees] = _SEEN if entry is None else fresh
+        entry = fresh
+    seq, report, sequence_results = entry
     rho = spectral_radius_power(g).rho
-    report = bound_report(seq)
     ident = encode_graph6(g)
     violations = []
     tight = []
     for name in checks:
-        details, is_tight = _CHECK_FUNCTIONS[name](g, seq, report, rho, tols)
+        outcome = sequence_results.get(name)
+        if outcome is None:
+            outcome = _GRAPH_CHECKS[name](g, seq, report, rho, tols)
+        details, is_tight = outcome
         violations.extend((ident, name, detail) for detail in details)
         if is_tight:
             tight.append(name)
@@ -327,12 +364,13 @@ def _run_chunk(checks: tuple[str, ...], tols: dict, chunk: tuple) -> tuple:
     violations: list[tuple[str, str, str]] = []
     tight_counts = dict.fromkeys(checks, 0)
     skipped = 0
+    memo: dict = {}
     kind, payload = chunk
     for g in _chunk_graphs(kind, payload):
         if kind != "enumerate" and not is_connected(g):
             skipped += 1
             continue
-        row, viols, tight = _examine_graph(g, checks, tols)
+        row, viols, tight = _examine_graph(g, checks, tols, memo)
         rows.append(row)
         violations.extend(viols)
         for name in tight:

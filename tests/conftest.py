@@ -5,7 +5,8 @@ pure integer arithmetic, giving the tests a tie-detection oracle that owes
 nothing to the library's prefix-sum comparison logic.  The structural
 oracles (adjacency invariants, union-find connectivity, the numeric tight
 set, the per-level replay loop, the five-pass power loop, the dense
-Faddeev-LeVerrier loop) exist only to check the library against.
+Faddeev-LeVerrier loop, the memo-free campaign chunk) exist only to check
+the library against.
 """
 
 from __future__ import annotations
@@ -15,17 +16,21 @@ import random
 
 from rho_bounds import (
     CertificateViolationError,
+    bound_report,
     ConvergenceError,
     DegreeSequence,
     Graph,
     ScalingCertificate,
     SpectralResult,
     degree_sequence,
+    encode_graph6,
+    is_connected,
     phi,
     phi_sequence,
     spectral_radius_power,
     tight_levels,
 )
+from rho_bounds import harness
 from rho_bounds.equality import EQUALITY_TOL
 from rho_bounds.spectral_oracle import (
     CHARPOLY_MAX_N,
@@ -238,6 +243,45 @@ def exact_phi_argmin(seq: DegreeSequence) -> frozenset[int]:
     )
 
 
+def examine_graph_reference(g: Graph, checks: tuple[str, ...], tols: dict):
+    """``harness._examine_graph`` without the per-sequence memo: the degree
+    sequence, its report and every check are computed for this graph."""
+    seq = degree_sequence(g)
+    rho = spectral_radius_power(g).rho
+    report = bound_report(seq)
+    ident = encode_graph6(g)
+    violations = []
+    tight = []
+    for name in checks:
+        if name in harness._SEQUENCE_CHECKS:
+            details, is_tight = harness._SEQUENCE_CHECKS[name](seq, report, tols)
+        else:
+            details, is_tight = harness._GRAPH_CHECKS[name](g, seq, report, rho, tols)
+        violations.extend((ident, name, detail) for detail in details)
+        if is_tight:
+            tight.append(name)
+    return harness.report_row(ident, seq, report, rho), violations, tight
+
+
+def run_chunk_reference(checks: tuple[str, ...], tols: dict, chunk: tuple) -> tuple:
+    """``harness._run_chunk`` with ``examine_graph_reference`` per graph."""
+    rows = []
+    violations = []
+    tight_counts = dict.fromkeys(checks, 0)
+    skipped = 0
+    kind, payload = chunk
+    for g in harness._chunk_graphs(kind, payload):
+        if kind != "enumerate" and not is_connected(g):
+            skipped += 1
+            continue
+        row, viols, tight = examine_graph_reference(g, checks, tols)
+        rows.append(row)
+        violations.extend(viols)
+        for name in tight:
+            tight_counts[name] += 1
+    return rows, violations, skipped, tight_counts
+
+
 # ---------------------------------------------------------------------------
 # seeded corpora
 # ---------------------------------------------------------------------------
@@ -250,8 +294,6 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
-    from rho_bounds import is_connected
-
     while True:
         g = random_graph(rng, n, p)
         if is_connected(g):

@@ -137,9 +137,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     @pytest.mark.parametrize(
-        "bad", [["--n", "9"], ["--n", "4", "--checks", "bogus"], ["--n", "4", "--tol", "-1"],
+        "bad", [["--n", "9"], ["--n", "4", "--checks", "bogus"], ["--n", "3", "--checks", ""],
+                ["--n", "4", "--checks", "soundness,soundness"], ["--n", "4", "--tol", "-1"],
                 ["--n", "4", "--tol", "nan"]],
-        ids=["n9", "checks_bogus", "tol_negative", "tol_nan"],
+        ids=["n9", "checks_bogus", "checks_empty", "checks_repeated", "tol_negative", "tol_nan"],
     )
     def test_config_error_leaves_stdout_empty(self, bad, output, capsys):
         assert run(["verify", *bad, "--output", output]) == 2

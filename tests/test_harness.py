@@ -8,9 +8,14 @@ from rho_bounds import (
     CampaignConfig,
     CHECKS,
     CSV_COLUMNS,
+    Graph,
     GraphParseError,
+    encode_graph6,
     run_campaign,
 )
+from rho_bounds.graph_core import enumeration_space
+
+from conftest import examine_graph_reference, run_chunk_reference
 
 
 def campaign(tmp_path=None, **kwargs):
@@ -155,6 +160,8 @@ class TestConfigValidation:
             dict(source="enumerate", n=8),
             dict(source="enumerate", n=3, tol=float("nan")),
             dict(source="enumerate", n=3, tol=float("inf")),
+            dict(source="enumerate", n=3, checks=()),
+            dict(source="enumerate", n=3, checks=("soundness", "soundness")),
         ],
     )
     def test_rejected(self, kwargs):
@@ -182,6 +189,44 @@ class TestConfigValidation:
         assert len(set(rho_bounds.__all__)) == len(rho_bounds.__all__)
         for name in rho_bounds.__all__:
             assert getattr(rho_bounds, name) is not None, name
+
+
+class TestSequenceMemo:
+    """The per-chunk memo of the degree-sequence work changes no row, no
+    violation and no tight count."""
+
+    def test_chunks_match_reference_through_n6(self):
+        tols = dict(harness.TOLERANCES)
+        for n in range(1, 7):
+            chunk = ("enumerate", (n, 0, enumeration_space(n)))
+            assert harness._run_chunk(CHECKS, tols, chunk) == run_chunk_reference(CHECKS, tols, chunk)
+
+    def test_sequence_messages_name_no_graph(self):
+        # two labelings of the 4-path share one sequence; the star has its
+        # own.  A negative dominance tolerance makes every level a
+        # violation whose message the memo hands to both labelings.
+        graphs = [
+            Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+            Graph.from_edges(4, [(0, 2), (1, 2), (1, 3)]),
+            Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+        ]
+        ids = [encode_graph6(g) for g in graphs]
+        assert len(set(ids)) == 3
+        tols = dict(harness.TOLERANCES, dominance=-1.0)
+        expected = [examine_graph_reference(g, CHECKS, tols) for g in graphs]
+        for ident, (_, violations, _) in zip(ids, expected):
+            assert violations and {gid for gid, _, _ in violations} == {ident}
+        chunk = ("graph6", (1, ids))
+        assert harness._run_chunk(CHECKS, tols, chunk) == run_chunk_reference(CHECKS, tols, chunk)
+
+        path, star = (2, 2, 1, 1), (3, 1, 1, 1)
+        memo = {}
+        for state in ("cold", "warm"):
+            got = [harness._examine_graph(g, CHECKS, tols, memo) for g in graphs]
+            assert got == expected
+            assert memo.keys() == {path, star}
+            assert memo[path] is not harness._SEEN
+            assert (memo[star] is harness._SEEN) == (state == "cold")
 
 
 class _InlinePool:
