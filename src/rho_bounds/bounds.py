@@ -78,8 +78,9 @@ def bound_brualdi_hoffman(m: int) -> float:
     """Brualdi-Hoffman bound: k-1 for the smallest k with m <= k(k-1)/2."""
     if m < 0:
         raise ValueError(f"edge count must be nonnegative, got {m}")
-    k = 1
-    while k * (k - 1) // 2 < m:
+    # k = ceil((1 + sqrt(8m + 1)) / 2); the isqrt gives its floor
+    k = (1 + math.isqrt(8 * m + 1)) // 2
+    if k * (k - 1) // 2 < m:
         k += 1
     return float(k - 1)
 
@@ -150,20 +151,27 @@ def phi_sequence(seq: DegreeSequence) -> PhiSequence:
 
 
 def is_graphical(degrees: list[int] | tuple[int, ...]) -> bool:
-    """Erdos-Gallai test: is the sequence the degree sequence of some graph?"""
+    """Erdos-Gallai test: is the sequence the degree sequence of some graph?
+
+    The tail sum_{i>k} min(d_i, k) is k for each of the degrees >= k past
+    position k and d_i for the rest; the degrees >= k are a prefix of the
+    sorted sequence whose end only moves left as k grows, so the test is
+    linear after the sort.
+    """
     ds = sorted(degrees, reverse=True)
     n = len(ds)
-    if n == 0 or (ds and ds[-1] < 0):
+    if n == 0 or ds[-1] < 0 or ds[0] >= n or sum(ds) % 2:
         return False
-    if sum(ds) % 2:
-        return False
-    if ds and ds[0] >= n:
-        return False
-    prefix = 0
+    prefix = [0] * (n + 1)
+    for i, d in enumerate(ds):
+        prefix[i + 1] = prefix[i] + d
+    high = n  # ds[:high] are the degrees >= k
     for k in range(1, n + 1):
-        prefix += ds[k - 1]
-        tail = sum(min(d, k) for d in ds[k:])
-        if prefix > k * (k - 1) + tail:
+        while high and ds[high - 1] < k:
+            high -= 1
+        j = max(high, k)
+        tail = k * (j - k) + prefix[n] - prefix[j]
+        if prefix[k] > k * (k - 1) + tail:
             return False
     return True
 

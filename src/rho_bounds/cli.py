@@ -47,11 +47,29 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(text: str, fmt: str) -> Graph:
-    if fmt == "graph6":
+def _read_graph(args) -> Graph:
+    """The graph in the first record of ``args.input``; the bounds assume a
+    connected graph, so a disconnected one is refused."""
+    text = _read_input(args.input)
+    if args.format == "graph6":
         records = graph6_records(text)
-        return parse_graph6(records[0] if records else "")
-    return parse_edge_list(text)
+        g = parse_graph6(records[0] if records else "")
+    else:
+        g = parse_edge_list(text)
+    if not is_connected(g):
+        raise ValueError("input graph is disconnected; the bounds assume a connected graph")
+    return g
+
+
+def _print_doc(doc: dict, output: str) -> None:
+    """One JSON object, or one ``key: value`` line per entry."""
+    if output == "json":
+        print(json.dumps(doc))
+        return
+    for key, value in doc.items():
+        if isinstance(value, tuple):
+            value = f"({', '.join(map(repr, value))})"
+        print(f"{key}: {value}")
 
 
 def _cell(value) -> str:
@@ -62,100 +80,39 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _levels_str(levels) -> str:
-    return "{" + ",".join(str(v) for v in sorted(levels)) + "}"
-
-
 # ---------------------------------------------------------------------------
 # bound
 # ---------------------------------------------------------------------------
 
 def cmd_bound(args) -> int:
-    text = _read_input(args.input)
     if args.format == "sequence":
-        degrees = [int(tok) for tok in text.replace(",", " ").split()]
-        seq = DegreeSequence.from_degrees(degrees)
+        text = _read_input(args.input)
+        seq = DegreeSequence.from_degrees(int(tok) for tok in text.replace(",", " ").split())
         if not is_graphical(seq.degrees):
             print(
                 f"warning: {seq.degrees} is not graphical; bounds are formal",
                 file=sys.stderr,
             )
-        rho = None
-        ident = "sequence"
+        ident, rho = "sequence", None
     else:
-        g = _load_graph(text, args.format)
-        if not is_connected(g):
-            print(
-                "error: input graph is disconnected; the bounds assume a "
-                "connected graph",
-                file=sys.stderr,
-            )
-            return 2
+        g = _read_graph(args)
         seq = degree_sequence(g)
-        rho = spectral_radius_power(g).rho
-        ident = encode_graph6(g)
-
+        ident, rho = encode_graph6(g), spectral_radius_power(g).rho
     report = bound_report(seq)
-    phis = report.phis
-    cert = report.cert
-    slack_min = phis.minimum - rho if rho is not None else None
-
-    if args.output == "json":
-        doc = {
-            "id": ident,
-            "n": seq.n,
-            "m": seq.m,
-            "rho": rho,
-            "phi": list(phis.values),
-            "phi_min": phis.minimum,
-            "pivot": phis.pivot,
-            "argmin_levels": sorted(phis.argmin_levels),
-            "shu_wu": list(report.shu_wu),
-            "hong_shu_fang": report.hong_shu_fang,
-            "hong": report.hong,
-            "stanley": report.stanley,
-            "brualdi_hoffman": report.brualdi_hoffman,
-            "max_degree": report.max_degree,
-            "cert_kind": cert.kind if cert else None,
-            "cert_t": cert.t if cert else None,
-            "predicted_tight_levels": sorted(cert.predicted_tight_levels) if cert else [],
-            "slack_min": slack_min,
-        }
-        print(json.dumps(doc))
-        return 0
-
+    row = report_row(ident, seq, report, rho)
     if args.output == "csv":
-        _CsvReport(sys.stdout).add_row(report_row(ident, seq, report, rho))
+        _CsvReport(sys.stdout).add_row(row)
         return 0
-
-    print(f"input: {ident}")
-    print(f"n={seq.n} m={seq.m}")
-    if rho is not None:
-        print(f"rho={rho!r} (power iteration)")
-    print("level  degree  phi                 shu_wu")
-    for level in range(1, seq.n + 1):
-        print(
-            f"{level:5d}  {seq.degrees[level - 1]:6d}  "
-            f"{phis.values[level - 1]!r:<18}  {report.shu_wu[level - 1]!r}"
-        )
-    pivot = phis.pivot if phis.pivot is not None else "none"
-    print(
-        f"phi_min={phis.minimum!r} pivot={pivot} "
-        f"argmin_levels={_levels_str(phis.argmin_levels)}"
-    )
-    print(
-        f"hong_shu_fang={report.hong_shu_fang!r} hong={report.hong!r} "
-        f"stanley={report.stanley!r} brualdi_hoffman={report.brualdi_hoffman!r} "
-        f"max_degree={report.max_degree!r}"
-    )
-    if cert is not None:
-        print(
-            f"certificate: {cert.kind}"
-            + (f" t={cert.t}" if cert.t is not None else "")
-            + f" predicted_tight_levels={_levels_str(cert.predicted_tight_levels)}"
-        )
-    if slack_min is not None:
-        print(f"slack_min={slack_min!r}")
+    # the campaign row, then the report's per-level entries
+    cert = report.cert
+    _print_doc({
+        **dict(zip(CSV_COLUMNS, row)),
+        "degrees": seq.degrees,
+        "phi": report.phis.values,
+        "shu_wu": report.shu_wu,
+        "argmin_levels": tuple(sorted(report.phis.argmin_levels)),
+        "predicted_tight_levels": tuple(sorted(cert.predicted_tight_levels)) if cert else (),
+    }, args.output)
     return 0
 
 
@@ -252,19 +209,13 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    g = _load_graph(_read_input(args.input), args.format)
-    if not is_connected(g):
-        print("error: input graph is disconnected", file=sys.stderr)
-        return 2
-    if not 1 <= args.level <= g.n:
-        print(f"error: level must be in 1..{g.n}, got {args.level}", file=sys.stderr)
-        return 2
+    g = _read_graph(args)
     try:
         cert = row_sums_scaled(g, args.level)
     except CertificateViolationError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
         return 1
-    doc = {
+    _print_doc({
         "id": encode_graph6(g),
         "level": cert.level,
         "phi": cert.phi,
@@ -272,14 +223,7 @@ def cmd_replay(args) -> int:
         "row_sums": cert.row_sums,
         "max_row_sum": cert.max_row_sum,
         "slack": cert.phi - cert.max_row_sum,
-    }
-    if args.output == "json":
-        print(json.dumps(doc))
-        return 0
-    for key, value in doc.items():
-        if isinstance(value, tuple):
-            value = f"({', '.join(map(repr, value))})"
-        print(f"{key}: {value}")
+    }, args.output)
     return 0
 
 
@@ -338,7 +282,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphParseError, ConvergenceError, OSError, ValueError) as exc:
+    except (GraphParseError, ConvergenceError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

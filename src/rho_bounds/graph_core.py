@@ -52,12 +52,6 @@ class Graph:
         """Number of edges."""
         return sum(len(nb) for nb in self.neighbors) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors[u]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):
@@ -93,10 +87,6 @@ class DegreeSequence:
             prefix[i + 1] = prefix[i] + d
         return cls(tuple(ds), tuple(prefix))
 
-    @classmethod
-    def from_graph(cls, g: Graph) -> "DegreeSequence":
-        return cls.from_degrees(len(nb) for nb in g.neighbors)
-
     @property
     def n(self) -> int:
         return len(self.degrees)
@@ -109,7 +99,7 @@ class DegreeSequence:
 
 def degree_sequence(g: Graph) -> DegreeSequence:
     """Degrees of ``g`` sorted non-increasing, with prefix sums."""
-    return DegreeSequence.from_graph(g)
+    return DegreeSequence.from_degrees(len(nb) for nb in g.neighbors)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +223,8 @@ def encode_graph6(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# edge-list format: first line "n", then one "u v" pair per line.
+# edge-list format: first line "n" (1 <= n <= 258047, the graph6 limit), then
+# one "u v" pair per line.
 # ---------------------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
@@ -247,6 +238,9 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphParseError(f"non-integer vertex count {lines[0]!r}", 1) from None
     if n < 1:
         raise GraphParseError(f"vertex count must be positive, got {n}", 1)
+    if n > _G6_MAX_N:
+        # every command encodes the graph6 id, so refuse before allocating
+        raise GraphParseError(f"vertex count {n} exceeds the graph6 limit {_G6_MAX_N}", 1)
     adj: list[set[int]] = [set() for _ in range(n)]
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -5,7 +5,8 @@ pure integer arithmetic, giving the tests a tie-detection oracle that owes
 nothing to the library's prefix-sum comparison logic.  The structural
 oracles (adjacency invariants, union-find connectivity, the numeric tight
 set, the per-level replay loop, the five-pass power loop, the dense
-Faddeev-LeVerrier loop, the memo-free campaign chunk) exist only to check
+Faddeev-LeVerrier loop, the memo-free campaign chunk, the quadratic
+Erdos-Gallai loop, the counting Brualdi-Hoffman loop) exist only to check
 the library against.
 """
 
@@ -243,6 +244,31 @@ def exact_phi_argmin(seq: DegreeSequence) -> frozenset[int]:
     )
 
 
+def is_graphical_reference(degrees) -> bool:
+    """Erdos-Gallai test that re-sums the tail at every k: quadratic, and
+    the reference for the library's linear pointer walk."""
+    ds = sorted(degrees, reverse=True)
+    n = len(ds)
+    if n == 0 or ds[-1] < 0 or sum(ds) % 2 or ds[0] >= n:
+        return False
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += ds[k - 1]
+        tail = sum(min(d, k) for d in ds[k:])
+        if prefix > k * (k - 1) + tail:
+            return False
+    return True
+
+
+def brualdi_hoffman_reference(m: int) -> float:
+    """Brualdi-Hoffman by counting k up from 1 to the smallest k with
+    m <= k(k-1)/2; the reference for the library's isqrt closed form."""
+    k = 1
+    while k * (k - 1) // 2 < m:
+        k += 1
+    return float(k - 1)
+
+
 def examine_graph_reference(g: Graph, checks: tuple[str, ...], tols: dict):
     """``harness._examine_graph`` without the per-sequence memo: the degree
     sequence, its report and every check are computed for this graph."""
@@ -304,7 +330,7 @@ def random_degree_sequence(rng: random.Random, max_n: int = 50) -> DegreeSequenc
     """Degree sequence of a random graph: graphical by construction."""
     n = rng.randint(1, max_n)
     p = rng.uniform(0.05, 0.95)
-    return DegreeSequence.from_graph(random_graph(rng, n, p))
+    return degree_sequence(random_graph(rng, n, p))
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:

@@ -1,13 +1,17 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    brualdi_hoffman_reference,
     compare_half_surds,
     exact_phi_argmin,
     exact_phi_compare,
+    is_graphical_reference,
     random_degree_sequence,
 )
 from rho_bounds import (
@@ -190,6 +194,17 @@ class TestBrualdiHoffman:
         for m in range(1, 200):
             assert bound_brualdi_hoffman(m) >= bound_stanley(m) - 1e-12
 
+    def test_matches_counting_reference(self):
+        for m in range(100_001):
+            assert bound_brualdi_hoffman(m) == brualdi_hoffman_reference(m), m
+
+    @pytest.mark.parametrize("k", [10**15 + 7, 10**100])
+    def test_huge_edge_count(self, k):
+        # the counting loop would take k steps at these triangular numbers
+        t = k * (k - 1) // 2
+        assert bound_brualdi_hoffman(t) == float(k - 1)
+        assert bound_brualdi_hoffman(t + 1) == float(k)
+
 
 class TestMaxDegree:
     def test_values(self):
@@ -350,6 +365,28 @@ class TestGraphical:
     @given(degree_sequences())
     def test_graph_sequences_are_graphical(self, seq):
         assert is_graphical(seq.degrees)
+
+    def test_matches_reference_up_to_7(self):
+        # sorting is the first step of both, so sorted tuples cover every order
+        for n in range(8):
+            for degrees in itertools.combinations_with_replacement(range(-1, n + 1), n):
+                assert is_graphical(degrees) == is_graphical_reference(degrees), degrees
+
+    def test_matches_reference_random(self):
+        rng = random.Random(20121)
+        for _ in range(2000):
+            n = rng.randint(1, 40)
+            high = rng.choice((3, n // 2 + 1, n))
+            degrees = [rng.randint(0, high) for _ in range(n)]
+            assert is_graphical(degrees) == is_graphical_reference(degrees), degrees
+        for _ in range(200):
+            seq = random_degree_sequence(rng)
+            assert is_graphical(seq.degrees) and is_graphical_reference(seq.degrees)
+
+    def test_linear_time(self):
+        start = time.perf_counter()
+        assert is_graphical([1] * 100_000)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestBoundReport:

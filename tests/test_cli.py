@@ -14,9 +14,17 @@ class TestBound:
         path = tmp_path / "k4.g6"
         path.write_text("C~\n")
         assert run(["bound", "--input", str(path), "--format", "graph6"]) == 0
-        out = capsys.readouterr().out
-        assert "certificate: Regular" in out
-        assert "phi_min=3.0" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "cert_kind: Regular" in lines
+        assert "phi_min: 3.0" in lines
+        assert lines[0] == "id: C~"
+        assert "degrees: (3, 3, 3, 3)" in lines
+        assert "phi: (3.0, 3.0, 3.0, 3.0)" in lines
+        assert "predicted_tight_levels: (1, 2, 3, 4)" in lines
+        assert [line.split(": ")[0] for line in lines] == [
+            *CSV_COLUMNS, "degrees", "phi", "shu_wu", "argmin_levels",
+            "predicted_tight_levels",
+        ]
 
     def test_json_sequence(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", _Stdin("4,3,3,2,1,1\n"))
@@ -43,19 +51,30 @@ class TestBound:
 
     @pytest.mark.parametrize(
         "graph",
-        [gen_named("complete", 4), gen_named("path", 6), gen_join_dominating(6, 3, 2)],
-        ids=["K4", "P6", "join_dominating_6_3_2"],
+        [gen_named("complete", 4), gen_named("path", 6), gen_join_dominating(6, 3, 2),
+         gen_named("complete", 1)],
+        ids=["K4", "P6", "join_dominating_6_3_2", "K1"],
     )
     def test_csv_row_matches_verify(self, graph, tmp_path, capsys):
         path = tmp_path / "g.el"
         path.write_text(f"{graph.n}\n" + "".join(f"{u} {v}\n" for u, v in graph.edges()))
-        assert run(["bound", "--input", str(path), "--format", "edgelist",
-                    "--output", "csv"]) == 0
+        argv = ["--input", str(path), "--format", "edgelist"]
+        assert run(["bound", *argv, "--output", "csv"]) == 0
         bound_lines = capsys.readouterr().out.splitlines()
-        assert run(["verify", "--input", str(path), "--format", "edgelist"]) == 0
+        assert run(["verify", *argv]) == 0
         verify_lines = capsys.readouterr().out.splitlines()
         assert len(bound_lines) == len(verify_lines) == 2
         assert bound_lines == verify_lines
+        # the JSON document opens with the same row, keyed by CSV_COLUMNS
+        assert run(["bound", *argv, "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert run(["verify", *argv, "--output", "json"]) == 0
+        (verify_row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert {key: doc[key] for key in CSV_COLUMNS} == verify_row
+        assert list(doc)[:len(CSV_COLUMNS)] == list(CSV_COLUMNS)
+        if graph.n == 1:
+            assert doc["id"] == "@" and doc["cert_kind"] == ""
+            assert doc["predicted_tight_levels"] == []
 
     def test_disconnected_refused(self, tmp_path, capsys):
         path = tmp_path / "discon.el"
@@ -72,6 +91,27 @@ class TestBound:
     def test_missing_file(self, capsys):
         assert run(["bound", "--input", "/no/such/file", "--format", "graph6"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_huge_degrees_finish(self, tmp_path, capsys):
+        path = tmp_path / "seq.txt"
+        path.write_text(f"{10**30} {10**30}\n")
+        assert run(["bound", "--input", str(path), "--format", "sequence",
+                    "--output", "json"]) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["max_degree"] == 1e30
+        assert doc["brualdi_hoffman"] == 1414213562373095.0  # about sqrt(2m)
+        assert "not graphical" in captured.err
+
+    @pytest.mark.parametrize("output", ["text", "csv", "json"])
+    def test_degrees_beyond_float_exit_2(self, output, tmp_path, capsys):
+        path = tmp_path / "seq.txt"
+        path.write_text(f"{10**200} {10**200}\n")
+        assert run(["bound", "--input", str(path), "--format", "sequence",
+                    "--output", output]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
 
 class TestVerify:
@@ -161,6 +201,16 @@ class TestVerify:
         assert captured.out == ""
         assert "error" in captured.err
 
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_edge_list_vertex_limit(self, output, tmp_path, capsys):
+        path = tmp_path / "huge.el"
+        path.write_text("1000000000\n0 1\n")
+        assert run(["verify", "--input", str(path), "--format", "edgelist",
+                    "--output", output]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the graph6 limit 258047" in captured.err
+
     def test_empty_corpus_csv_header(self, tmp_path, capsys):
         path = tmp_path / "empty.g6"
         path.write_text("")
@@ -248,7 +298,13 @@ class TestReplay:
     def test_level_out_of_range(self, tmp_path, capsys):
         path = tmp_path / "k4.g6"
         path.write_text("C~\n")
-        assert run(["replay", "--input", str(path), "--level", "9"]) == 2
+        for level in ("0", "9"):
+            for output in ("text", "json"):
+                assert run(["replay", "--input", str(path), "--level", level,
+                            "--output", output]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert f"level {level} out of range 1..4" in captured.err
 
     def test_disconnected(self, tmp_path, capsys):
         path = tmp_path / "d.el"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,6 +115,21 @@ class TestParseEdgeList:
     def test_malformed(self, text):
         with pytest.raises(GraphParseError):
             parse_edge_list(text)
+
+    def test_vertex_limit_is_the_graph6_limit(self):
+        assert parse_edge_list("258047\n0 1").n == 258047
+        with pytest.raises(GraphParseError, match=r"258048 exceeds .* \(at offset 1\)"):
+            parse_edge_list("258048\n0 1")
+
+    def test_huge_vertex_count_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphParseError):
+                parse_edge_list("1000000000\n0 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +346,7 @@ class TestGraphType:
 
     def test_accessors(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert g.degree(1) == 2 and g.degree(0) == 1
-        assert g.has_edge(0, 1) and not g.has_edge(0, 2)
+        assert g.neighbors == ((1,), (0, 2), (1,))
         assert list(g.edges()) == [(0, 1), (1, 2)]
 
     def test_immutable(self):
