@@ -29,16 +29,10 @@ from .graph_core import (
     parse_edge_list,
     parse_graph6,
 )
-from .harness import (
-    CSV_COLUMNS,
-    CHECKS,
-    TOLERANCES,
-    CampaignConfig,
-    report_row,
-    run_campaign,
-)
+from .harness import CSV_COLUMNS, CHECKS, CampaignConfig, report_row, run_campaign
 from .proof_replay import CertificateViolationError, row_sums_scaled
 from .spectral_oracle import ConvergenceError, spectral_radius_power
+from .tolerances import OVERRIDDEN_BY_TOL, TOLERANCES
 
 def _read_input(path: str) -> str:
     if path == "-":
@@ -62,14 +56,13 @@ def _read_graph(args) -> Graph:
 
 
 def _print_doc(doc: dict, output: str) -> None:
-    """One JSON object, or one ``key: value`` line per entry."""
+    """One JSON object, or one ``key: value`` line per entry (scalars as CSV cells)."""
     if output == "json":
         print(json.dumps(doc))
         return
     for key, value in doc.items():
-        if isinstance(value, tuple):
-            value = f"({', '.join(map(repr, value))})"
-        print(f"{key}: {value}")
+        text = f"({', '.join(map(repr, value))})" if isinstance(value, tuple) else _cell(value)
+        print(f"{key}: {text}" if text else f"{key}:")
 
 
 def _cell(value) -> str:
@@ -88,6 +81,9 @@ def cmd_bound(args) -> int:
     if args.format == "sequence":
         text = _read_input(args.input)
         seq = DegreeSequence.from_degrees(int(tok) for tok in text.replace(",", " ").split())
+        if seq.n > 1 and (seq.degrees[-1] == 0 or seq.m < seq.n - 1):
+            raise ValueError(f"no connected graph has degree sequence {seq.degrees}; "
+                             "the bounds assume a connected graph")
         if not is_graphical(seq.degrees):
             print(
                 f"warning: {seq.degrees} is not graphical; bounds are formal",
@@ -255,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--checks", default="all",
                           help=f"comma list from {','.join(CHECKS)} (default all)")
     p_verify.add_argument("--tol", type=float, default=None,
-                          help="override check tolerances (default {soundness:g} soundness, "
-                               "{replay:g} replay, {equality:g} equality)".format_map(TOLERANCES))
+                          help="override the tolerances " + ", ".join(
+                              f"{name} (default {TOLERANCES[name]:g})"
+                              for name in OVERRIDDEN_BY_TOL))
     p_verify.add_argument("--output", default="csv", choices=("csv", "json"))
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="worker processes (default 1)")

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph_core import DegreeSequence
+from .tolerances import TOLERANCES
 
 REGULAR = "Regular"
 DOMINATING = "Dominating"
 NONE = "None"
-
-EQUALITY_TOL = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +68,7 @@ def _check_dominating(seq: DegreeSequence, cert: EqualityCertificate) -> None:
 
 
 def tight_levels(
-    phi_values: Iterable[float], rho: float, tol: float = EQUALITY_TOL
+    phi_values: Iterable[float], rho: float, tol: float = TOLERANCES["equality"]
 ) -> frozenset[int]:
     """Levels whose phi value is within ``tol`` of ``rho``."""
     return frozenset(

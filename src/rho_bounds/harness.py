@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bounds import GREATER, LESS, BoundReport, bound_report, compare_step
-from .equality import EQUALITY_TOL, REGULAR, tight_levels
+from .equality import REGULAR, tight_levels
 from .graph_core import (
     DegreeSequence,
     Graph,
@@ -31,28 +31,15 @@ from .graph_core import (
     parse_edge_list,
     parse_graph6,
 )
-from .proof_replay import ROW_SUM_TOL, replay_levels
+from .proof_replay import replay_levels
 from .spectral_oracle import CHARPOLY_MAX_N, spectral_radius_charpoly, spectral_radius_power
+from .tolerances import OVERRIDDEN_BY_TOL, TOLERANCES
 
 CSV_COLUMNS = (
     "id", "n", "m", "rho", "phi_min", "pivot", "phi_n", "hong_shu_fang",
     "hong", "stanley", "brualdi_hoffman", "max_degree", "cert_kind",
     "cert_t", "slack_min",
 )
-
-#: Every tolerance the checks use.  ``CampaignConfig.tol`` overrides the
-#: soundness, equality and replay entries; the rest are fixed.  'tight'
-#: decides the tight-instance counts, 'oracle_tight' the oracle's.
-TOLERANCES = {
-    "soundness": ROW_SUM_TOL,
-    "equality": EQUALITY_TOL,
-    "replay": ROW_SUM_TOL,
-    "dominance": 1e-12,
-    "comparator": 1e-9,
-    "oracle": 1e-9,
-    "tight": EQUALITY_TOL,
-    "oracle_tight": 1e-12,
-}
 
 _ENUM_CHUNK = 1 << 15
 _FILE_CHUNK = 5000
@@ -224,7 +211,7 @@ class CampaignConfig:
     """What to verify: source, checks, tolerances, and parallelism.
 
     ``tol`` of None means the defaults in ``TOLERANCES``; a given value
-    overrides the soundness, equality and replay tolerances.
+    overrides the entries named in ``OVERRIDDEN_BY_TOL``.
     """
 
     source: str                       # 'enumerate' | 'graph6' | 'edgelist'
@@ -389,7 +376,7 @@ def run_campaign(cfg: CampaignConfig, row_sink=None) -> CampaignResult:
     started = time.perf_counter()
     tols = dict(TOLERANCES)
     if cfg.tol is not None:
-        tols.update(soundness=cfg.tol, equality=cfg.tol, replay=cfg.tol)
+        tols.update(dict.fromkeys(OVERRIDDEN_BY_TOL, cfg.tol))
     run = functools.partial(_run_chunk, tuple(c for c in CHECKS if c in cfg.checks), tols)
     chunks = _chunks(cfg)
     result = CampaignResult(tight_instances=dict.fromkeys(cfg.checks, 0))

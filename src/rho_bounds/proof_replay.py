@@ -25,8 +25,7 @@ from typing import Iterator
 
 from .bounds import phi
 from .graph_core import DegreeSequence, Graph
-
-ROW_SUM_TOL = 1e-9
+from .tolerances import TOLERANCES
 
 
 class CertificateViolationError(RuntimeError):
@@ -58,7 +57,7 @@ class ScalingCertificate:
     phi: float
     max_row_sum: float
 
-    def violation(self, tol: float = ROW_SUM_TOL) -> CertificateViolationError | None:
+    def violation(self, tol: float = TOLERANCES["replay"]) -> CertificateViolationError | None:
         """The first row whose sum exceeds ``phi + tol``, or None."""
         bound = self.phi + tol
         if self.max_row_sum <= bound:
@@ -121,7 +120,7 @@ def replay_levels(g: Graph, first: int = 1) -> Iterator[ScalingCertificate]:
         yield ScalingCertificate(level, x, tuple(rows), value, max(rows))
 
 
-def row_sums_scaled(g: Graph, level: int, tol: float = ROW_SUM_TOL) -> ScalingCertificate:
+def row_sums_scaled(g: Graph, level: int, tol: float = TOLERANCES["replay"]) -> ScalingCertificate:
     """Row sums of the rescaled adjacency matrix at one level, asserted
     against the bound: the one-level view of ``replay_levels``.
 

@@ -19,13 +19,11 @@ import math
 from dataclasses import dataclass
 
 from .graph_core import Graph
+from .tolerances import TOLERANCES
 
-POWER_TOL = 1e-12
-RESIDUAL_TOL = 1e-9
 MAX_ITERATIONS = 10**6
 CHARPOLY_MAX_N = 12
 FIELD_BITS = 64
-ROOT_ENCLOSURE = 1e-13
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,8 +60,9 @@ def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> 
     even for bipartite graphs, and the all-ones start has positive overlap
     with the Perron vector, so convergence is guaranteed for connected
     graphs.  Stops once successive Rayleigh quotients differ by less than
-    ``POWER_TOL`` and the residual is at most ``RESIDUAL_TOL``.
+    the 'power_step' tolerance and the residual is at most 'power_residual'.
     """
+    step_tol, residual_tol = TOLERANCES["power_step"], TOLERANCES["power_residual"]
     n = g.n
     nbrs = g.neighbors
     v = [1.0 / math.sqrt(n)] * n
@@ -86,7 +85,7 @@ def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> 
             w[i] = acc
             norm += acc * acc
         # the residual is read only once the Rayleigh quotients agree
-        if rq_prev is not None and abs(rq - rq_prev) < POWER_TOL:
+        if rq_prev is not None and abs(rq - rq_prev) < step_tol:
             residual = 0.0
             for i in range(n):
                 d = av[i] - rq * v[i]
@@ -94,7 +93,7 @@ def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> 
                     d = -d
                 if d > residual:
                     residual = d
-            if residual <= RESIDUAL_TOL:
+            if residual <= residual_tol:
                 return SpectralResult(rq, iteration, residual, "power")
         rq_prev = rq
         norm = math.sqrt(norm)
@@ -191,8 +190,10 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
     (root estimate, certified enclosure width, iterations).  A float Newton
     sweep from above supplies the initial guess; the answer is then bracketed
     and bisected with exact integer sign tests until the enclosure is at most
-    ROOT_ENCLOSURE wide.
+    the 'root_enclosure' tolerance wide.
     """
+    newton_tol, seed = TOLERANCES["newton_step"], TOLERANCES["root_bracket"]
+    enclosure = TOLERANCES["root_enclosure"]
     n = len(coeffs) - 1
     chain = _derivative_chain(coeffs)
     cf = [float(x) for x in coeffs]
@@ -211,19 +212,19 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
             break
         step = p / dp
         x -= step
-        if abs(step) < 1e-14:
+        if abs(step) < newton_tol:
             break
 
-    hi = x + 1e-12
-    margin = 1e-12
+    hi = x + seed
+    margin = seed
     while not _at_or_above_root(chain, hi):
         hi += margin
         margin *= 8.0
-    lo = x - 1e-12
+    lo = x - seed
     if lo <= 0.0:
         lo = 0.0
     else:
-        margin = 1e-12
+        margin = seed
         while lo > 0.0 and _at_or_above_root(chain, lo):
             lo -= margin
             margin *= 8.0
@@ -231,7 +232,7 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
             lo = 0.0
     if lo == 0.0 and _at_or_above_root(chain, 0.0):
         return 0.0, 0.0, iterations
-    while hi - lo > ROOT_ENCLOSURE:
+    while hi - lo > enclosure:
         iterations += 1
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -254,11 +255,11 @@ def spectral_radius_charpoly(g: Graph) -> SpectralResult:
     """Exact-charpoly spectral radius for graphs with at most 12 vertices.
 
     The largest root is bracketed inside [average degree, maximum degree]
-    and certified to within ROOT_ENCLOSURE by integer sign tests, so the
-    result is independent of the power method in both algorithm and
-    arithmetic.  The root isolation is cached per process under the exact
-    key (characteristic polynomial, maximum degree); the polynomial itself
-    is computed for every graph.
+    and certified to within the 'root_enclosure' tolerance by integer sign
+    tests, so the result is independent of the power method in both
+    algorithm and arithmetic.  The root isolation is cached per process
+    under the exact key (characteristic polynomial, maximum degree); the
+    polynomial itself is computed for every graph.
     """
     coeffs = characteristic_polynomial(g)
     d1 = max((len(nb) for nb in g.neighbors), default=0)

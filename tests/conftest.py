@@ -32,14 +32,8 @@ from rho_bounds import (
     tight_levels,
 )
 from rho_bounds import harness
-from rho_bounds.equality import EQUALITY_TOL
-from rho_bounds.spectral_oracle import (
-    CHARPOLY_MAX_N,
-    MAX_ITERATIONS,
-    POWER_TOL,
-    RESIDUAL_TOL,
-    UnsupportedSizeError,
-)
+from rho_bounds.spectral_oracle import CHARPOLY_MAX_N, MAX_ITERATIONS, UnsupportedSizeError
+from rho_bounds.tolerances import TOLERANCES
 
 
 def check_invariants(g: Graph) -> None:
@@ -72,7 +66,7 @@ def is_connected_union_find(g: Graph) -> bool:
     return components == 1
 
 
-def check_equality_numeric(g: Graph, tol: float = EQUALITY_TOL) -> frozenset[int]:
+def check_equality_numeric(g: Graph, tol: float = TOLERANCES["equality"]) -> frozenset[int]:
     """Numerically tight levels of a connected graph, from the power oracle.
 
     Used solely to validate ``classify_equality``; structural
@@ -112,7 +106,8 @@ def row_sums_scaled_per_level(g: Graph, level: int, tol: float) -> ScalingCertif
 
 
 def spectral_radius_power_five_pass(
-    g: Graph, tol: float = POWER_TOL, residual_tol: float = RESIDUAL_TOL,
+    g: Graph, tol: float = TOLERANCES["power_step"],
+    residual_tol: float = TOLERANCES["power_residual"],
     max_iterations: int = MAX_ITERATIONS,
 ) -> SpectralResult:
     """Power iteration on A+I with one pass per step: A*v, the Rayleigh

@@ -32,17 +32,14 @@ from rho_bounds import (
     spectral_radius_charpoly,
     spectral_radius_power,
 )
+from rho_bounds.tolerances import TOLERANCES
 
 JOBS = int(os.environ.get("RHO_BOUNDS_JOBS", "0")) or (os.cpu_count() or 1)
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 
-SOUNDNESS_TOL = 1e-9
-EQUALITY_TOL = 1e-6
-DOMINANCE_TOL = 1e-12
-COMPARATOR_TOL = 1e-9
-REPLAY_TOL = 1e-9
-ORACLE_TOL = 1e-9
+# The campaign's tolerances come from TOLERANCES; these two are the suite's
+# own thresholds for the closed forms and the predecessors' tight families.
 CLOSED_FORM_TOL = 1e-10
 TIGHT_FAMILY_TOL = 1e-10
 
@@ -104,7 +101,7 @@ def test_criterion_01_soundness_exhaustive(exhaustive_small, exhaustive_seven):
         total += result.graphs_checked
     assert total == sum(CONNECTED_COUNTS.values())
     print(f"\nACCEPTANCE 1 soundness: PASS ({total} graphs, every level, "
-          f"tol {SOUNDNESS_TOL})")
+          f"tol {TOLERANCES['soundness']})")
 
 
 def test_criterion_02_equality_iff_exhaustive(exhaustive_small, exhaustive_seven):
@@ -116,7 +113,7 @@ def test_criterion_02_equality_iff_exhaustive(exhaustive_small, exhaustive_seven
         tight_graphs += result.tight_instances["equality"]
     assert tight_graphs > 0
     print(f"\nACCEPTANCE 2 equality-iff: PASS ({tight_graphs} tight graphs "
-          f"matched exactly, tol {EQUALITY_TOL})")
+          f"matched exactly, tol {TOLERANCES['equality']})")
 
 
 def test_criterion_03_phi_n_is_hong_shu_fang(
@@ -141,16 +138,17 @@ def test_criterion_04_dominates_shu_wu(
     """phi_l <= shu_wu_l + 1e-12 everywhere, strictly better on the example."""
     for result in _all_exhaustive(exhaustive_small, exhaustive_seven):
         assert _violations(result, "dominance") == []
+    dominance_tol = TOLERANCES["dominance"]
     for seq in random_sequences:
         for level in range(1, seq.n + 1):
-            assert phi(seq, level) <= bound_shu_wu(seq, level) + DOMINANCE_TOL
+            assert phi(seq, level) <= bound_shu_wu(seq, level) + dominance_tol
     example = DegreeSequence.from_degrees([4, 3, 3, 2, 1, 1])
     improved = phi(example, 4)
     shu_wu = bound_shu_wu(example, 4)
     assert improved == 3.0
     assert abs(shu_wu - (1 + math.sqrt(33)) / 2) <= 1e-12
     assert improved < shu_wu - 0.37
-    print(f"\nACCEPTANCE 4 dominance: PASS (tol {DOMINANCE_TOL}; example "
+    print(f"\nACCEPTANCE 4 dominance: PASS (tol {dominance_tol}; example "
           f"phi_4={improved} vs shu_wu_4={shu_wu:.10f})")
 
 
@@ -176,6 +174,7 @@ def test_criterion_06_step_comparator(
     for result in _all_exhaustive(exhaustive_small, exhaustive_seven):
         bad = _violations(result, "unimodality")
         assert bad == [], bad[:5]
+    comparator_tol = TOLERANCES["comparator"]
     for seq in random_sequences:
         values = phi_sequence(seq).values
         seen_less = False
@@ -183,7 +182,7 @@ def test_criterion_06_step_comparator(
             ordering = compare_step(seq, s)
             diff = values[s - 1] - values[s]
             float_ordering = (
-                0 if abs(diff) <= COMPARATOR_TOL else (1 if diff > 0 else -1)
+                0 if abs(diff) <= comparator_tol else (1 if diff > 0 else -1)
             )
             assert ordering == float_ordering, (seq.degrees, s)
             if ordering == -1:
@@ -206,6 +205,7 @@ def test_criterion_07_minimum_location(
     for n, result in exhaustive_small.items():
         assert result.tight_instances["unimodality"] == 1, n
     assert exhaustive_seven.tight_instances["unimodality"] == 1
+    comparator_tol = TOLERANCES["comparator"]
     fallbacks = 0
     for seq in random_sequences:
         phis = phi_sequence(seq)
@@ -213,10 +213,10 @@ def test_criterion_07_minimum_location(
         values = phis.values
         vmin = min(values)
         scanned = frozenset(
-            j for j in range(1, seq.n + 1) if values[j - 1] <= vmin + COMPARATOR_TOL
+            j for j in range(1, seq.n + 1) if values[j - 1] <= vmin + comparator_tol
         )
         assert levels == scanned == exact_phi_argmin(seq), seq.degrees
-        assert abs(value - vmin) <= COMPARATOR_TOL
+        assert abs(value - vmin) <= comparator_tol
         qualifying = [
             level for level in range(3, seq.n + 1)
             if seq.prefix[level] < level * (level - 1)
@@ -238,7 +238,7 @@ def test_criterion_08_proof_replay(exhaustive_small):
         total += result.graphs_checked
     assert total == sum(CONNECTED_COUNTS[n] for n in range(1, 7))
     print(f"\nACCEPTANCE 8 proof replay: PASS ({total} graphs, all levels, "
-          f"tol {REPLAY_TOL})")
+          f"tol {TOLERANCES['replay']})")
 
 
 def test_criterion_09_oracle_cross_validation(exhaustive_small, exhaustive_seven):
@@ -256,7 +256,7 @@ def test_criterion_09_oracle_cross_validation(exhaustive_small, exhaustive_seven
                 spectral_radius_power(g).rho - spectral_radius_charpoly(g).rho
             )
             worst = max(worst, gap)
-            assert gap <= ORACLE_TOL
+            assert gap <= TOLERANCES["oracle"]
     for n in range(2, 13):
         for method in (spectral_radius_power, spectral_radius_charpoly):
             assert abs(

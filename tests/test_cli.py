@@ -1,7 +1,9 @@
+import csv
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +23,27 @@ class TestBound:
         assert "degrees: (3, 3, 3, 3)" in lines
         assert "phi: (3.0, 3.0, 3.0, 3.0)" in lines
         assert "predicted_tight_levels: (1, 2, 3, 4)" in lines
-        assert [line.split(": ")[0] for line in lines] == [
+        assert [line.split(":")[0] for line in lines] == [
             *CSV_COLUMNS, "degrees", "phi", "shu_wu", "argmin_levels",
             "predicted_tight_levels",
         ]
+
+    @pytest.mark.parametrize("fmt, text, empty, present", [
+        ("sequence", "4,3,3,2,1,1\n", ["rho:", "cert_t:", "slack_min:"],
+         ["cert_kind: None", "pivot: 5"]),
+        ("graph6", "@\n", ["cert_kind:", "cert_t:", "pivot:"], ["rho: 0.0"]),
+    ], ids=["sequence", "K1"])
+    def test_text_absent_values_print_empty(self, fmt, text, empty, present, tmp_path, capsys):
+        path = tmp_path / "input"
+        path.write_text(text)
+        assert run(["bound", "--input", str(path), "--format", fmt]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in empty + present:
+            assert line in lines
+        # "None" is only ever the equality kind, and no line ends in a blank
+        assert [line for line in lines if "None" in line] == (
+            ["cert_kind: None"] if fmt == "sequence" else [])
+        assert not any(line.endswith(" ") for line in lines)
 
     def test_json_sequence(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", _Stdin("4,3,3,2,1,1\n"))
@@ -88,6 +107,28 @@ class TestBound:
         assert run(["bound", "--input", str(path), "--format", "sequence"]) == 0
         assert "not graphical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("output", ["text", "csv", "json"])
+    @pytest.mark.parametrize("degrees", ["1 1 0 0", "0 0", "1 1 1 1", "2 2 2 0"])
+    def test_sequence_without_connected_graph_refused(self, degrees, output, tmp_path, capsys):
+        path = tmp_path / "seq.txt"
+        path.write_text(degrees + "\n")
+        assert run(["bound", "--input", str(path), "--format", "sequence",
+                    "--output", output]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: no connected graph has degree sequence "
+            f"{tuple(map(int, degrees.split()))}; the bounds assume a connected graph\n")
+
+    @pytest.mark.parametrize("output", ["text", "csv", "json"])
+    def test_single_vertex_sequence_accepted(self, output, tmp_path, capsys):
+        path = tmp_path / "seq.txt"
+        path.write_text("0\n")
+        assert run(["bound", "--input", str(path), "--format", "sequence",
+                    "--output", output]) == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
+
     def test_missing_file(self, capsys):
         assert run(["bound", "--input", "/no/such/file", "--format", "graph6"]) == 2
         assert "error" in capsys.readouterr().err
@@ -122,6 +163,29 @@ class TestVerify:
         assert lines[0].split(",")[0] == "id"
         assert len(lines) == 39  # header + 38 graphs
         assert "0 violations" in captured.err
+
+    def test_n4_report_matches_reference(self, capsys):
+        """The CSV bytes, the JSON rows and the tight counts of ``verify --n 4``
+        against the committed report (tests/data/verify_n4.csv)."""
+        reference = (Path(__file__).parent / "data" / "verify_n4.csv").read_text("ascii")
+        tight = {"soundness": 14, "dominance": 34, "equality": 14, "unimodality": 1,
+                 "replay": 14, "oracle": 38}
+        assert run(["verify", "--n", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == reference
+        assert [line for line in captured.err.splitlines() if "tight instances" in line] == [
+            f"  {name}: {count} tight instances" for name, count in tight.items()]
+        assert run(["verify", "--n", "4", "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tight_instances"] == tight
+        header, *cells = csv.reader(reference.splitlines())
+        assert len(cells) == len(doc["rows"]) == 38
+        assert all(list(row) == header for row in doc["rows"])
+        assert [
+            ["" if v is None else repr(v) if isinstance(v, float) else str(v)
+             for v in row.values()]
+            for row in doc["rows"]
+        ] == cells
 
     def test_jobs_byte_identical(self, capsys):
         assert run(["verify", "--n", "4", "--jobs", "1"]) == 0
