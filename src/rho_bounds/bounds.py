@@ -29,6 +29,11 @@ def _check_level(seq: DegreeSequence, level: int) -> None:
         raise ValueError(f"level {level} out of range 1..{seq.n}")
 
 
+def _prefix_bound(d: int, excess: int) -> float:
+    """(d - 1 + sqrt((d + 1)^2 + 4 * excess)) / 2, the radicand an exact integer."""
+    return (d - 1 + math.sqrt((d + 1) * (d + 1) + 4 * excess)) / 2
+
+
 def phi(seq: DegreeSequence, level: int) -> float:
     """Degree-prefix bound at a level: uses the top ``level`` degrees.
 
@@ -39,16 +44,14 @@ def phi(seq: DegreeSequence, level: int) -> float:
     """
     _check_level(seq, level)
     d = seq.degrees[level - 1]
-    excess = seq.prefix[level - 1] - (level - 1) * d
-    return (d - 1 + math.sqrt((d + 1) * (d + 1) + 4 * excess)) / 2
+    return _prefix_bound(d, seq.prefix[level - 1] - (level - 1) * d)
 
 
 def bound_shu_wu(seq: DegreeSequence, level: int) -> float:
     """Shu-Wu bound at a level: overestimates every prefix gap by d_1 - d_level."""
     _check_level(seq, level)
     d = seq.degrees[level - 1]
-    gap = (level - 1) * (seq.degrees[0] - d)
-    return (d - 1 + math.sqrt((d + 1) * (d + 1) + 4 * gap)) / 2
+    return _prefix_bound(d, (level - 1) * (seq.degrees[0] - d))
 
 
 def bound_hong_shu_fang(seq: DegreeSequence) -> float:
@@ -58,8 +61,7 @@ def bound_hong_shu_fang(seq: DegreeSequence) -> float:
     2m - n*d_n.
     """
     d = seq.degrees[-1]
-    n = seq.n
-    return (d - 1 + math.sqrt((d + 1) * (d + 1) + 4 * (2 * seq.m - n * d))) / 2
+    return _prefix_bound(d, 2 * seq.m - seq.n * d)
 
 
 def bound_hong(seq: DegreeSequence) -> float:

@@ -28,23 +28,17 @@ from .graph_core import (
     is_connected,
     parse_edge_list,
     parse_graph6,
+    read_input,
 )
 from .harness import CSV_COLUMNS, CHECKS, CampaignConfig, report_row, run_campaign
 from .proof_replay import CertificateViolationError, row_sums_scaled
 from .spectral_oracle import ConvergenceError, spectral_radius_power
 from .tolerances import OVERRIDDEN_BY_TOL, TOLERANCES
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
-
-
 def _read_graph(args) -> Graph:
     """The graph in the first record of ``args.input``; the bounds assume a
     connected graph, so a disconnected one is refused."""
-    text = _read_input(args.input)
+    text = read_input(args.input)
     if args.format == "graph6":
         records = graph6_records(text)
         g = parse_graph6(records[0] if records else "")
@@ -79,7 +73,7 @@ def _cell(value) -> str:
 
 def cmd_bound(args) -> int:
     if args.format == "sequence":
-        text = _read_input(args.input)
+        text = read_input(args.input)
         seq = DegreeSequence.from_degrees(int(tok) for tok in text.replace(",", " ").split())
         if seq.n > 1 and (seq.degrees[-1] == 0 or seq.m < seq.n - 1):
             raise ValueError(f"no connected graph has degree sequence {seq.degrees}; "

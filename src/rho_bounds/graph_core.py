@@ -7,6 +7,9 @@ structure.
 
 from __future__ import annotations
 
+import base64
+import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -106,13 +109,17 @@ def degree_sequence(g: Graph) -> DegreeSequence:
 # graph6 format
 #
 # Header: byte 63+n for n <= 62, or '~' followed by three bytes carrying an
-# 18-bit big-endian n (63 <= n <= 258047).  The '~~' eight-byte header is
-# rejected.  Body: the upper triangle read column by column -- bit (i,j) for
-# j = 1..n-1, i = 0..j-1 -- packed into 6-bit groups, most significant bit
-# first, zero-padded, each group offset by 63.
+# 18-bit big-endian n (63 <= n <= 258047); the '~~' eight-byte header is
+# rejected.  Body: bit k = j(j-1)/2 + i is edge (i, j), i < j, most significant
+# bit first, zero-padded to whole 6-bit groups, group x written chr(63 + x).
+# Base64 writes the same groups as _B64[x]: the body is base64 re-lettered.
 # ---------------------------------------------------------------------------
 
 _G6_MAX_N = 258047
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6 = bytes(range(63, 127))
+_TO_G6 = bytes.maketrans(_B64, _G6)
+_FROM_G6 = bytes.maketrans(_G6, _B64)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -124,31 +131,20 @@ def parse_graph6(text: str) -> Graph:
         s = s[10:]
     if not s:
         raise GraphParseError("empty graph6 record", base)
-    first = ord(s[0])
     if s[0] == ":":
         raise GraphParseError("sparse6 records are not supported (leading ':')", base)
     if s[0] == "&" or s.startswith(">>digraph6<<") or s.startswith(">>sparse6<<"):
         raise GraphParseError("only graph6 records are supported", base)
-    if not 63 <= first <= 126:
-        raise GraphParseError(f"invalid header byte {first}", base)
-
-    if s[0] == "~":
-        if len(s) >= 2 and s[1] == "~":
-            raise GraphParseError(
-                "8-byte graph6 headers (n > 258047) are not supported", base + 1
-            )
-        if len(s) < 4:
-            raise GraphParseError("truncated extended header", base + len(s))
-        n = 0
-        for k in range(1, 4):
-            b = ord(s[k])
-            if not 63 <= b <= 126:
-                raise GraphParseError(f"invalid header byte {b}", base + k)
-            n = (n << 6) | (b - 63)
-        data_start = 4
-    else:
-        n = first - 63
-        data_start = 1
+    if s[:2] == "~~":
+        raise GraphParseError("8-byte graph6 headers (n > 258047) are not supported", base + 1)
+    data_start = 4 if s[0] == "~" else 1
+    if len(s) < data_start:
+        raise GraphParseError("truncated extended header", base + len(s))
+    if bad := re.search("[^?-~]", s[:data_start]):
+        raise GraphParseError(f"invalid header byte {ord(bad[0])}", base + bad.start())
+    n = 0
+    for ch in s[1:4] if data_start == 4 else s[0]:
+        n = n << 6 | ord(ch) - 63
 
     if n == 0:
         raise GraphParseError("graph6 record encodes zero vertices", base)
@@ -165,26 +161,19 @@ def parse_graph6(text: str) -> Graph:
             f"unexpected trailing data after {nbytes} data bytes",
             base + data_start + nbytes,
         )
-
+    if bad := re.search("[^?-~]", data):
+        raise GraphParseError(f"invalid data byte {ord(bad[0])}", base + data_start + bad.start())
+    field = base64.b64decode(data.encode().translate(_FROM_G6) + b"A" * (-len(data) % 4))
+    bits = format(int.from_bytes(field, "big"), f"0{8 * len(field)}b")
     adj: list[list[int]] = [[] for _ in range(n)]
-    bit = 0
-    i, j = 0, 1
-    for k, ch in enumerate(data):
-        b = ord(ch)
-        if not 63 <= b <= 126:
-            raise GraphParseError(f"invalid data byte {b}", base + data_start + k)
-        group = b - 63
-        for shift in range(5, -1, -1):
-            if bit >= nbits:
-                break
-            if group >> shift & 1:
-                adj[i].append(j)
-                adj[j].append(i)
-            bit += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
-    return Graph(n, tuple(tuple(sorted(row)) for row in adj))
+    j, column = 1, 0  # bits column .. column + j - 1 are the pairs (i, j), i < j
+    k = -1
+    while (k := bits.find("1", k + 1, nbits)) >= 0:
+        while k >= column + j:
+            column, j = column + j, j + 1
+        adj[k - column].append(j)
+        adj[j].append(k - column)
+    return Graph(n, tuple(map(tuple, adj)))
 
 
 def graph6_records(text: str) -> list[str]:
@@ -192,6 +181,14 @@ def graph6_records(text: str) -> list[str]:
     ``>>graph6<<`` header line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     return lines[1:] if lines and lines[0].strip() == ">>graph6<<" else lines
+
+
+def read_input(path: str) -> str:
+    """The text of an input: stdin for ``-``, else the ASCII file at ``path``."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, "r", encoding="ascii") as fh:
+        return fh.read()
 
 
 def encode_graph6(g: Graph) -> str:
@@ -205,21 +202,12 @@ def encode_graph6(g: Graph) -> str:
         header = "~" + "".join(
             chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)
         )
-    out = [header]
-    group = 0
-    nfilled = 0
-    for j in range(1, n):
-        row = g.neighbors[j]
-        for i in range(j):
-            group = group << 1 | (1 if i in row else 0)
-            nfilled += 1
-            if nfilled == 6:
-                out.append(chr(63 + group))
-                group = 0
-                nfilled = 0
-    if nfilled:
-        out.append(chr(63 + (group << (6 - nfilled))))
-    return "".join(out)
+    nbits = n * (n - 1) // 2
+    field = bytearray((nbits + 23) // 24 * 3)  # whole 3-byte base64 groups
+    for i, j in g.edges():
+        k = j * (j - 1) // 2 + i
+        field[k >> 3] |= 128 >> (k & 7)
+    return header + base64.b64encode(field).translate(_TO_G6)[:(nbits + 5) // 6].decode()
 
 
 # ---------------------------------------------------------------------------

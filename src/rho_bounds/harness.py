@@ -30,6 +30,7 @@ from .graph_core import (
     is_connected,
     parse_edge_list,
     parse_graph6,
+    read_input,
 )
 from .proof_replay import replay_levels
 from .spectral_oracle import CHARPOLY_MAX_N, spectral_radius_charpoly, spectral_radius_power
@@ -318,8 +319,7 @@ def _chunks(cfg: CampaignConfig) -> list[tuple]:
             ("enumerate", (cfg.n, start, min(start + _ENUM_CHUNK, total)))
             for start in range(0, total, _ENUM_CHUNK)
         ]
-    with open(cfg.path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    text = read_input(cfg.path)
     if cfg.source == "edgelist":
         return [("edgelist", text)]
     records = graph6_records(text)

@@ -5,9 +5,9 @@ pure integer arithmetic, giving the tests a tie-detection oracle that owes
 nothing to the library's prefix-sum comparison logic.  The structural
 oracles (adjacency invariants, union-find connectivity, the numeric tight
 set, the per-level replay loop, the five-pass power loop, the dense
-Faddeev-LeVerrier loop, the memo-free campaign chunk, the quadratic
-Erdos-Gallai loop, the counting Brualdi-Hoffman loop) exist only to check
-the library against.
+Faddeev-LeVerrier loop, the memo-free campaign chunk, the per-bit graph6
+loops, the quadratic Erdos-Gallai loop, the counting Brualdi-Hoffman loop)
+exist only to check the library against.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from rho_bounds import (
     ConvergenceError,
     DegreeSequence,
     Graph,
+    GraphParseError,
     ScalingCertificate,
     SpectralResult,
     degree_sequence,
@@ -32,6 +33,7 @@ from rho_bounds import (
     tight_levels,
 )
 from rho_bounds import harness
+from rho_bounds.graph_core import _G6_MAX_N
 from rho_bounds.spectral_oracle import CHARPOLY_MAX_N, MAX_ITERATIONS, UnsupportedSizeError
 from rho_bounds.tolerances import TOLERANCES
 
@@ -301,6 +303,106 @@ def run_chunk_reference(checks: tuple[str, ...], tols: dict, chunk: tuple) -> tu
         for name in tight:
             tight_counts[name] += 1
     return rows, violations, skipped, tight_counts
+
+
+def parse_graph6_bitloop(text: str) -> Graph:
+    """``parse_graph6`` unpacking one bit at a time, with its own (i, j) cursor."""
+    s = text.rstrip("\r\n \t")
+    base = 0
+    if s.startswith(">>graph6<<"):
+        base = 10
+        s = s[10:]
+    if not s:
+        raise GraphParseError("empty graph6 record", base)
+    first = ord(s[0])
+    if s[0] == ":":
+        raise GraphParseError("sparse6 records are not supported (leading ':')", base)
+    if s[0] == "&" or s.startswith(">>digraph6<<") or s.startswith(">>sparse6<<"):
+        raise GraphParseError("only graph6 records are supported", base)
+    if not 63 <= first <= 126:
+        raise GraphParseError(f"invalid header byte {first}", base)
+
+    if s[0] == "~":
+        if len(s) >= 2 and s[1] == "~":
+            raise GraphParseError(
+                "8-byte graph6 headers (n > 258047) are not supported", base + 1
+            )
+        if len(s) < 4:
+            raise GraphParseError("truncated extended header", base + len(s))
+        n = 0
+        for k in range(1, 4):
+            b = ord(s[k])
+            if not 63 <= b <= 126:
+                raise GraphParseError(f"invalid header byte {b}", base + k)
+            n = (n << 6) | (b - 63)
+        data_start = 4
+    else:
+        n = first - 63
+        data_start = 1
+
+    if n == 0:
+        raise GraphParseError("graph6 record encodes zero vertices", base)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    data = s[data_start:]
+    if len(data) < nbytes:
+        raise GraphParseError(
+            f"truncated bit field: need {nbytes} data bytes, got {len(data)}",
+            base + len(s),
+        )
+    if len(data) > nbytes:
+        raise GraphParseError(
+            f"unexpected trailing data after {nbytes} data bytes",
+            base + data_start + nbytes,
+        )
+
+    adj: list[list[int]] = [[] for _ in range(n)]
+    bit = 0
+    i, j = 0, 1
+    for k, ch in enumerate(data):
+        b = ord(ch)
+        if not 63 <= b <= 126:
+            raise GraphParseError(f"invalid data byte {b}", base + data_start + k)
+        group = b - 63
+        for shift in range(5, -1, -1):
+            if bit >= nbits:
+                break
+            if group >> shift & 1:
+                adj[i].append(j)
+                adj[j].append(i)
+            bit += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
+    return Graph(n, tuple(tuple(sorted(row)) for row in adj))
+
+
+def encode_graph6_bitloop(g: Graph) -> str:
+    """``encode_graph6`` packing one vertex pair at a time into 6-bit groups."""
+    n = g.n
+    if n > _G6_MAX_N:
+        raise ValueError(f"graph6 encoding supports n <= {_G6_MAX_N}, got {n}")
+    if n <= 62:
+        header = chr(63 + n)
+    else:
+        header = "~" + "".join(
+            chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)
+        )
+    out = [header]
+    group = 0
+    nfilled = 0
+    for j in range(1, n):
+        row = g.neighbors[j]
+        for i in range(j):
+            group = group << 1 | (1 if i in row else 0)
+            nfilled += 1
+            if nfilled == 6:
+                out.append(chr(63 + group))
+                group = 0
+                nfilled = 0
+    if nfilled:
+        out.append(chr(63 + (group << (6 - nfilled))))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,20 @@ class TestVerify:
             for row in doc["rows"]
         ] == cells
 
+    def test_input_stdin_matches_file(self, tmp_path, monkeypatch, capsys):
+        """``verify --input -`` reads the n=4 stream from stdin and prints the
+        bytes ``verify --input FILE`` prints, the committed n=4 report."""
+        reference = (Path(__file__).parent / "data" / "verify_n4.csv").read_text("ascii")
+        assert run(["enumerate", "--n", "4"]) == 0
+        stream = capsys.readouterr().out
+        path = tmp_path / "all4.g6"
+        path.write_text(stream)
+        assert run(["verify", "--input", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", _Stdin(stream))
+        assert run(["verify", "--input", "-"]) == 0
+        assert capsys.readouterr().out == from_file == reference
+
     def test_jobs_byte_identical(self, capsys):
         assert run(["verify", "--n", "4", "--jobs", "1"]) == 0
         first = capsys.readouterr().out

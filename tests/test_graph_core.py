@@ -1,9 +1,16 @@
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import check_invariants, is_connected_union_find
+from conftest import (
+    check_invariants,
+    encode_graph6_bitloop,
+    is_connected_union_find,
+    parse_graph6_bitloop,
+    random_graph,
+)
 from rho_bounds import (
     DegreeSequence,
     Graph,
@@ -91,6 +98,87 @@ class TestEncodeGraph6:
 
     @given(graphs())
     def test_round_trip_random(self, g):
+        assert parse_graph6(encode_graph6(g)) == g
+
+
+def _parse_outcome(parse, text):
+    """The parsed graph, or the error's message and offset."""
+    try:
+        return parse(text)
+    except GraphParseError as exc:
+        return str(exc), exc.offset
+
+
+def _fuzzed_records(rng, count):
+    """Random strings over the graph6 alphabet and its near misses, and
+    one-byte replacements, truncations and extensions of valid records, some
+    behind a ``>>graph6<<`` prefix."""
+    alphabet = [chr(b) for b in range(63, 127)] + [":", "&", ">", "\x1f", "\xe9", " ", "\t", "\n"]
+    sizes = [*range(1, 16)] * 4 + [62, 63, 64]  # both header forms
+    valid = [encode_graph6(random_graph(rng, rng.choice(sizes), rng.random()))
+             for _ in range(200)]
+    for _ in range(count):
+        shape = rng.randrange(5)
+        if shape == 0:
+            record = "".join(rng.choices(alphabet, k=rng.randint(0, 12)))
+        elif shape == 1:
+            record = "~" + "".join(rng.choices(alphabet, k=rng.randint(0, 6)))
+        else:
+            record = rng.choice(valid)
+            at = rng.randrange(len(record))
+            if shape == 2:
+                record = record[:at] + rng.choice(alphabet) + record[at + 1:]
+            elif shape == 3:
+                record = record[:at]
+            else:
+                record += "".join(rng.choices(alphabet, k=rng.randint(1, 3)))
+        yield ">>graph6<<" + record if rng.random() < 0.2 else record
+
+
+class TestGraph6AgainstBitLoops:
+    """The base64 codec against the per-bit loops it replaced (conftest)."""
+
+    def test_encode_every_connected_graph_up_to_6(self):
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                assert encode_graph6(g) == encode_graph6_bitloop(g)
+
+    def test_encode_random_graphs_up_to_130(self):
+        rng = random.Random(130)
+        for n in range(1, 131):
+            for p in (0.1, 0.7):
+                g = random_graph(rng, n, p)
+                assert encode_graph6(g) == encode_graph6_bitloop(g), (n, p)
+
+    @pytest.mark.parametrize("n, header", [(62, "}"), (63, "~??~"), (64, "~?@?")])
+    def test_header_switch(self, n, header):
+        text = encode_graph6(gen_named("cycle", n))
+        assert text.startswith(header) and len(text) == len(header) + (n * (n - 1) // 2 + 5) // 6
+        assert parse_graph6(text) == gen_named("cycle", n)
+
+    def test_parse_fuzzed_records(self):
+        rng = random.Random(20000)
+        records = list(_fuzzed_records(rng, 20000))
+        outcomes = [_parse_outcome(parse_graph6, r) for r in records]
+        assert outcomes == [_parse_outcome(parse_graph6_bitloop, r) for r in records]
+        # graphs and each of the ten refusals are reached
+        errors = {" ".join(o[0].split()[:3]) for o in outcomes if not isinstance(o, Graph)}
+        assert len(errors) == 10 and sum(isinstance(o, Graph) for o in outcomes) > 2000
+
+    def test_nonzero_padding_ignored(self):
+        rng = random.Random(3)
+        for n in range(2, 40):
+            pad = -(n * (n - 1) // 2) % 6
+            if not pad:
+                continue
+            g = random_graph(rng, n, 0.5)
+            text = encode_graph6(g)
+            padded = text[:-1] + chr(63 + (ord(text[-1]) - 63 | (1 << pad) - 1))
+            assert padded != text
+            assert parse_graph6(padded) == parse_graph6_bitloop(padded) == g
+
+    def test_long_path_round_trip(self):
+        g = gen_named("path", 8000)
         assert parse_graph6(encode_graph6(g)) == g
 
 
