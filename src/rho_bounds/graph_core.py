@@ -120,6 +120,9 @@ _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _G6 = bytes(range(63, 127))
 _TO_G6 = bytes.maketrans(_B64, _G6)
 _FROM_G6 = bytes.maketrans(_G6, _B64)
+_NOT_G6 = re.compile("[^?-~]")
+_NONZERO_RUN = re.compile(b"[^\0]+")
+_PIECE = 1 << 16  # body characters decoded at once: whole 4-character groups
 
 
 def parse_graph6(text: str) -> Graph:
@@ -140,7 +143,7 @@ def parse_graph6(text: str) -> Graph:
     data_start = 4 if s[0] == "~" else 1
     if len(s) < data_start:
         raise GraphParseError("truncated extended header", base + len(s))
-    if bad := re.search("[^?-~]", s[:data_start]):
+    if bad := _NOT_G6.search(s, 0, data_start):
         raise GraphParseError(f"invalid header byte {ord(bad[0])}", base + bad.start())
     n = 0
     for ch in s[1:4] if data_start == 4 else s[0]:
@@ -150,29 +153,41 @@ def parse_graph6(text: str) -> Graph:
         raise GraphParseError("graph6 record encodes zero vertices", base)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    data = s[data_start:]
-    if len(data) < nbytes:
+    size = len(s) - data_start
+    if size < nbytes:
         raise GraphParseError(
-            f"truncated bit field: need {nbytes} data bytes, got {len(data)}",
+            f"truncated bit field: need {nbytes} data bytes, got {size}",
             base + len(s),
         )
-    if len(data) > nbytes:
+    if size > nbytes:
         raise GraphParseError(
             f"unexpected trailing data after {nbytes} data bytes",
             base + data_start + nbytes,
         )
-    if bad := re.search("[^?-~]", data):
-        raise GraphParseError(f"invalid data byte {ord(bad[0])}", base + data_start + bad.start())
-    field = base64.b64decode(data.encode().translate(_FROM_G6) + b"A" * (-len(data) % 4))
-    bits = format(int.from_bytes(field, "big"), f"0{8 * len(field)}b")
+    if bad := _NOT_G6.search(s, data_start):
+        raise GraphParseError(f"invalid data byte {ord(bad[0])}", base + bad.start())
     adj: list[list[int]] = [[] for _ in range(n)]
     j, column = 1, 0  # bits column .. column + j - 1 are the pairs (i, j), i < j
-    k = -1
-    while (k := bits.find("1", k + 1, nbits)) >= 0:
-        while k >= column + j:
-            column, j = column + j, j + 1
-        adj[k - column].append(j)
-        adj[j].append(k - column)
+    # the field is decoded a piece at a time and walked by its runs of
+    # nonzero bytes, so memory stays near the record's size
+    for start in range(data_start, len(s), _PIECE):
+        piece = s[start:start + _PIECE].encode().translate(_FROM_G6)
+        field = base64.b64decode(piece + b"A" * (-len(piece) % 4))
+        for run in _NONZERO_RUN.finditer(field):
+            # the index of the run's first byte's least significant bit
+            last = (start - data_start) * 6 + 8 * run.start() + 7
+            for byte in run[0]:
+                while byte:
+                    top = byte.bit_length() - 1
+                    byte ^= 1 << top
+                    k = last - top
+                    if k >= nbits:  # padding
+                        break
+                    while k >= column + j:
+                        column, j = column + j, j + 1
+                    adj[k - column].append(j)
+                    adj[j].append(k - column)
+                last += 8
     return Graph(n, tuple(map(tuple, adj)))
 
 
@@ -184,11 +199,17 @@ def graph6_records(text: str) -> list[str]:
 
 
 def read_input(path: str) -> str:
-    """The text of an input: stdin for ``-``, else the ASCII file at ``path``."""
+    """The ASCII text of an input: the bytes of stdin for ``-``, else of the
+    file at ``path``, decoded the same way."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"non-ASCII input byte {data[exc.start]}", exc.start) from None
 
 
 def encode_graph6(g: Graph) -> str:

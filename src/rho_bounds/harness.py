@@ -32,7 +32,7 @@ from .graph_core import (
     parse_graph6,
     read_input,
 )
-from .proof_replay import replay_levels
+from .proof_replay import ScalingCertificate, row_slacks, scaled_row_sum
 from .spectral_oracle import CHARPOLY_MAX_N, spectral_radius_charpoly, spectral_radius_power
 from .tolerances import OVERRIDDEN_BY_TOL, TOLERANCES
 
@@ -129,33 +129,58 @@ def _unimodality(seq, report, tols):
 
 def _replay(g, seq, report, rho, tols):
     cert = report.cert
+    predicted = cert.predicted_tight_levels if cert is not None else ()
+    degrees = seq.degrees
+    tol = tols["soundness"]
     details = []
     tight = False
-    tol, tight_tol = tols["replay"], tols["tight"]
-    for rcert in replay_levels(g):
-        level = rcert.level
-        exc = rcert.violation(tol)
-        if exc is not None:
-            details.append(str(exc))
+    last = None
+    for level, slacks in enumerate(row_slacks(g), start=1):
+        if slacks is not last:
+            # a new degree: a new excess and new slacks (a repeated degree
+            # repeats both, and phi, and so every verdict below)
+            last = slacks
+            d = degrees[level - 1]
+            value = report.phis.values[level - 1]
+            excess = seq.prefix[level - 1] - (level - 1) * d
+            low = min(slacks)
+            if low < 0:
+                reached = flat = False
+            else:
+                # rho <= max row sum tests the oracle, not the certificate,
+                # so it stays a float comparison: max(rows) + tol >= rho
+                # exactly when some row has row + tol >= rho (float + is
+                # monotone), so the rows are tried one at a time, from one
+                # of least slack
+                args = degrees, level, value, excess
+                reached = rho <= scaled_row_sum(*args, low, slacks.index(low) + 1) + tol or any(
+                    rho <= scaled_row_sum(*args, slack, row) + tol
+                    for row, slack in enumerate(slacks, start=1)
+                )
+                # a row meets phi exactly when its slack is zero and
+                # d_i >= d; every row does exactly when rho(B) = phi here
+                flat = not any(slacks) and degrees[-1] == d
+        if low < 0:
+            details.append(str(ScalingCertificate.at_level(seq, level, slacks, value).violation()))
             continue
-        if rho > rcert.max_row_sum + tol:
+        if not reached:
+            top = ScalingCertificate.at_level(seq, level, slacks, value).max_row_sum
+            details.append(f"rho={rho!r} exceeds max scaled row sum {top!r} at level {level}")
+        tight = tight or flat
+        if flat and cert is not None and level not in predicted:
             details.append(
-                f"rho={rho!r} exceeds max scaled row sum "
-                f"{rcert.max_row_sum!r} at level {level}"
+                f"level {level} has every scaled row sum at phi {value!r} but "
+                f"is not predicted tight ({cert.kind})"
             )
-        # the scaling saturates the top row at every level by construction;
-        # a certificate is only notably tight when every row meets the
-        # bound, which forces rho(B) = phi at this level
-        if not tight and all(abs(r - rcert.phi) <= tight_tol for r in rcert.row_sums):
-            tight = True
-        if cert is not None and level in cert.predicted_tight_levels:
+        if level in predicted and not flat:
             # Regular: every row; Dominating (level >= t): rows from level on
             first = 1 if cert.kind == REGULAR else level
-            for i, r in enumerate(rcert.row_sums[first - 1:], start=first):
-                if abs(r - rcert.phi) > tight_tol:
+            rows = ScalingCertificate.at_level(seq, level, slacks, value).row_sums
+            for i in range(first, seq.n + 1):
+                if slacks[i - 1] or degrees[i - 1] < d:
                     details.append(
                         f"predicted-tight level {level} ({cert.kind}) has "
-                        f"row {i} sum {r!r} != phi {rcert.phi!r}"
+                        f"row {i} sum {rows[i - 1]!r} != phi {value!r}"
                     )
     return details, tight
 

@@ -1,21 +1,35 @@
-"""Runtime certificate for the degree-prefix bound.
+"""Runtime certificate for the degree-prefix bound, decided in integers.
 
 The bound's proof rescales the adjacency matrix by a diagonal similarity
-U = diag(x_1, ..., x_{l-1}, 1, ..., 1) and shows every row sum of
-B = U^-1 A U is at most phi_l; the row-sum bound for nonnegative matrices
-then gives rho <= phi_l.  This module executes that argument on a concrete
-graph at every level, and fails loudly if any row exceeds the bound.
+U = diag(x_1, ..., x_{l-1}, 1, ..., 1), x_k = 1 + (d_k - d_l)/(phi_l + 1),
+and shows every row sum of B = U^-1 A U is at most phi_l; the row-sum bound
+for nonnegative matrices then gives rho <= phi_l.  This module executes that
+argument on a concrete graph at every level.
 
 All levels come from one degree ordering.  Vertices are sorted once into
 non-increasing degree order, and each row i keeps two integers: c_i, the
-number of its neighbors among the scaled vertices 1..l-1 (the prefix), and
-S_i, the sum of their degrees.  Each level adds one vertex to the prefix,
-so keeping both current costs O(m) over all levels.  Since
-x_k = 1 + (d_k - d_l)/(phi_l + 1), row i of B sums to
+number of its neighbors among the scaled vertices 1..l-1 (the prefix P), and
+S_i, the sum of their degrees.  Each level adds one vertex to the prefix, so
+keeping both current costs O(m) over all levels.  With d = d_l, the excess
+E = sum_{k<l} (d_k - d) inside phi_l and T_i = S_i - c_i * d, the identity
+phi^2 = (d - 1) phi + d + E cancels phi out of every row inequality, leaving
+the integer slack
 
-    (d_i + (S_i - c_i * d_l) / (phi_l + 1)) / x_i     (x_i = 1 past the prefix)
+    slack_i = E + d - d_i - T_i.
 
-which is O(n) per level and O(n^2 + m) per graph.
+On a prefix row it is sum_{k in P - N[i]} (d_k - d), and row i of B sums to
+phi - slack_i / ((phi + 1) x_i).  Past the prefix it is
+(d - d_i) + sum_{k in P - N(i)} (d_k - d), and the row sums to
+phi - ((d - d_i) phi + slack_i) / (phi + 1).  So a nonnegative slack proves
+its row is at most phi, and the row meets phi exactly when its slack is zero
+and d_i >= d.  Both sums run over nonnegative terms: a negative slack can
+only come from faulty bookkeeping, and it is the certificate's one failure.
+
+The slacks are the verdict, O(n) per level and O(n^2 + m) per graph.  A level
+whose degree equals the previous level's has the same excess, the same T_i
+and so the same slacks, and reuses them.  The float row sums
+(d_i + T_i / (phi + 1)) / x_i exist for ``replay``'s output and to word a
+violation.
 """
 
 from __future__ import annotations
@@ -25,109 +39,151 @@ from typing import Iterator
 
 from .bounds import phi
 from .graph_core import DegreeSequence, Graph
-from .tolerances import TOLERANCES
 
 
 class CertificateViolationError(RuntimeError):
-    """A scaled row sum exceeded the bound.  This would falsify the
-    implementation (or its arithmetic), not the underlying mathematics."""
+    """A row's slack is negative.  This would falsify the implementation
+    (its bookkeeping), not the underlying mathematics."""
 
-    def __init__(self, level: int, row: int, row_sum: float, bound: float):
+    def __init__(self, level: int, row: int, slack: int, row_sum: float, bound: float):
         super().__init__(
-            f"row {row} has scaled sum {row_sum!r} > bound {bound!r} "
-            f"at level {level}"
+            f"row {row} has slack {slack} < 0 (scaled sum {row_sum!r}, "
+            f"bound {bound!r}) at level {level}"
         )
         self.level = level
         self.row = row
+        self.slack = slack
         self.row_sum = row_sum
         self.bound = bound
 
 
+def scaled_row_sum(degrees, level: int, value: float, excess: int, slack: int, row: int) -> float:
+    """Row ``row`` (1-based, degree-sorted) of B at ``level`` in floats, from
+    its slack: (d_i + T_i / (phi + 1)) / x_i, with T_i = E + d - d_i - slack_i,
+    x_i = 1 + (d_i - d) / (phi + 1) on the prefix and 1 past it.  The integers
+    are exact in floats far below 2**53, so this rounds as the row sum formed
+    from c_i and S_i would."""
+    d = degrees[level - 1]
+    d_i = degrees[row - 1]
+    den = value + 1.0
+    x = 1.0 + (d_i - d) / den if row < level else 1.0
+    return (d_i + (excess + d - d_i - slack) / den) / x
+
+
 @dataclass(frozen=True, slots=True)
 class ScalingCertificate:
-    """Scaling vector and the row sums it produces at one level.
+    """The proof's row inequalities at one level.
 
-    ``x`` has length level-1 and ``row_sums`` is indexed in the relabeled
-    (degree-sorted) vertex order.
+    ``degrees`` and ``slacks`` are indexed in the relabeled (degree-sorted)
+    vertex order; ``phi`` is phi_level and ``excess`` its integer excess E.
+    The float views ``x``, ``row_sums`` and ``max_row_sum`` are computed on
+    access.
     """
 
     level: int
-    x: tuple[float, ...]
-    row_sums: tuple[float, ...]
+    degrees: tuple[int, ...]
+    slacks: tuple[int, ...]
     phi: float
-    max_row_sum: float
+    excess: int
 
-    def violation(self, tol: float = TOLERANCES["replay"]) -> CertificateViolationError | None:
-        """The first row whose sum exceeds ``phi + tol``, or None."""
-        bound = self.phi + tol
-        if self.max_row_sum <= bound:
-            return None
-        for row, r in enumerate(self.row_sums, start=1):
-            if r > bound:
-                return CertificateViolationError(self.level, row, r, self.phi)
+    @classmethod
+    def at_level(cls, seq: DegreeSequence, level: int, slacks, value: float) -> "ScalingCertificate":
+        """The certificate of ``seq`` at ``level`` from its slacks and phi_level."""
+        d = seq.degrees[level - 1]
+        excess = seq.prefix[level - 1] - (level - 1) * d
+        return cls(level, seq.degrees, tuple(slacks), value, excess)
+
+    @property
+    def x(self) -> tuple[float, ...]:
+        """Scaling factors x_i = 1 + (d_i - d_level) / (phi_level + 1),
+        i < level: each at least 1 because the degrees are sorted."""
+        d = self.degrees[self.level - 1]
+        den = self.phi + 1.0
+        return tuple([1.0 + (d_i - d) / den for d_i in self.degrees[:self.level - 1]])
+
+    @property
+    def row_sums(self) -> tuple[float, ...]:
+        args = self.degrees, self.level, self.phi, self.excess
+        return tuple([
+            scaled_row_sum(*args, slack, row)
+            for row, slack in enumerate(self.slacks, start=1)
+        ])
+
+    @property
+    def max_row_sum(self) -> float:
+        return max(self.row_sums)
+
+    def violation(self) -> CertificateViolationError | None:
+        """The first row with a negative slack, or None."""
+        for row, slack in enumerate(self.slacks, start=1):
+            if slack < 0:
+                return CertificateViolationError(
+                    self.level, row, slack, self.row_sums[row - 1], self.phi)
         return None
 
 
-def _scaling(degrees, level: int, value: float) -> tuple[float, ...]:
-    """Scaling factors x_i = 1 + (d_i - d_level) / (phi_level + 1), i < level:
-    each at least 1 because the degrees are sorted, none at level 1."""
-    d_level = degrees[level - 1]
-    den = value + 1.0
-    return tuple([1.0 + (d - d_level) / den for d in degrees[:level - 1]])
-
-
-def replay_levels(g: Graph, first: int = 1) -> Iterator[ScalingCertificate]:
-    """Certificates at levels first..n, in order, from one degree ordering.
+def row_slacks(g: Graph, first: int = 1) -> Iterator[list[int]]:
+    """Every row's slack at levels first..n, in order, from one degree
+    ordering.
 
     Vertices are relabeled into non-increasing degree order (ties broken by
-    original index, so runs are reproducible).  The certificates are not
-    checked against the bound; see ``ScalingCertificate.violation``.
+    original index, so runs are reproducible); the lists are indexed in that
+    order, and a level whose degree repeats the previous level's yields the
+    previous list again.  The slacks are not checked; see
+    ``ScalingCertificate.violation``.
     """
     n = g.n
     nbrs = g.neighbors
     deg = [len(nb) for nb in nbrs]
     # a stable sort: reverse=True keeps tied degrees in index order
     order = sorted(range(n), key=deg.__getitem__, reverse=True)
-    seq = DegreeSequence.from_degrees([deg[v] for v in order])
-    phi(seq, first)  # validates the first level
-    # integers held as floats (exact far below 2**53): float arithmetic on
-    # them rounds exactly as int/float arithmetic would, and runs faster
-    degrees = [float(d) for d in seq.degrees]
-    ones = (1.0,) * n
     position = [0] * n
     for pos, v in enumerate(order):
         position[v] = pos
-    count = [0.0] * n  # c_i: neighbors of row i in the prefix
-    total = [0.0] * n  # S_i: the degree sum of those neighbors
+    base = [deg[v] for v in order]  # d_i + S_i
+    degrees = tuple(base)
+    count = [0] * n  # c_i: neighbors of row i in the prefix
+    head = 0  # the degree sum of the prefix
+    slacks = None
     for level in range(1, n + 1):
+        d = degrees[level - 1]
         if level > 1:
             # vertex level-1 (position level-2) joins the prefix
             d_new = degrees[level - 2]
+            head += d_new
             for u in nbrs[order[level - 2]]:
                 i = position[u]
-                count[i] += 1.0
-                total[i] += d_new
-        if level < first:
-            continue
-        value = phi(seq, level)
-        x = _scaling(degrees, level, value)
-        d_level = degrees[level - 1]
-        den = value + 1.0
-        rows = [
-            (d + (s - c * d_level) / den) / w
-            for d, s, c, w in zip(degrees, total, count, x + ones[level - 1:])
-        ]
-        yield ScalingCertificate(level, x, tuple(rows), value, max(rows))
+                count[i] += 1
+                base[i] += d_new
+            if d == d_new and slacks is not None:
+                yield slacks
+                continue
+        if level >= first:
+            top = head - (level - 2) * d  # E + d
+            slacks = [top - b + c * d for b, c in zip(base, count)]
+            yield slacks
 
 
-def row_sums_scaled(g: Graph, level: int, tol: float = TOLERANCES["replay"]) -> ScalingCertificate:
-    """Row sums of the rescaled adjacency matrix at one level, asserted
-    against the bound: the one-level view of ``replay_levels``.
+def replay_levels(g: Graph, first: int = 1) -> Iterator[ScalingCertificate]:
+    """Certificates at levels first..n, in order, from one degree ordering
+    (see ``row_slacks``).  The certificates are not checked; see
+    ``ScalingCertificate.violation``.
+    """
+    seq = DegreeSequence.from_degrees(map(len, g.neighbors))
+    phi(seq, first)  # validates the first level
+    for level, slacks in enumerate(row_slacks(g, first), start=first):
+        yield ScalingCertificate.at_level(seq, level, slacks, phi(seq, level))
 
-    Raises CertificateViolationError naming the first row above ``phi + tol``.
+
+def row_sums_scaled(g: Graph, level: int) -> ScalingCertificate:
+    """The certificate at one level, asserted: the one-level view of
+    ``replay_levels``.
+
+    Raises CertificateViolationError naming the first row with a negative
+    slack.
     """
     cert = next(replay_levels(g, level))
-    exc = cert.violation(tol)
+    exc = cert.violation()
     if exc is not None:
         raise exc
     return cert

@@ -6,13 +6,12 @@ tolerances, and stay with their solvers.
 """
 
 TOLERANCES = {
-    "soundness": 1e-9,        # rho <= phi_min + tol
+    "soundness": 1e-9,        # rho <= phi_min + tol; rho <= max scaled row sum + tol
     "equality": 1e-6,         # level l is numerically tight if |phi_l - rho| <= tol
-    "replay": 1e-9,           # every scaled row sum <= phi_l + tol
     "dominance": 1e-12,       # phi_l <= shu_wu_l + tol
     "comparator": 1e-9,       # float steps of phi within tol count as ties
     "oracle": 1e-9,           # |power rho - charpoly rho| <= tol
-    "tight": 1e-6,            # tight-instance counts of soundness and replay
+    "tight": 1e-6,            # tight-instance count of soundness
     "oracle_tight": 1e-12,    # tight-instance count of the oracle
     "power_step": 1e-12,      # power iteration: Rayleigh quotient step to stop at
     "power_residual": 1e-9,   # power iteration: largest accepted |Av - rho v|_inf
@@ -22,4 +21,4 @@ TOLERANCES = {
 }
 
 #: The entries ``--tol`` (``CampaignConfig.tol``) overrides.
-OVERRIDDEN_BY_TOL = ("soundness", "equality", "replay")
+OVERRIDDEN_BY_TOL = ("soundness", "equality")

@@ -4,7 +4,7 @@ The surd comparator below decides orderings of (a + sqrt(b))/2 values in
 pure integer arithmetic, giving the tests a tie-detection oracle that owes
 nothing to the library's prefix-sum comparison logic.  The structural
 oracles (adjacency invariants, union-find connectivity, the numeric tight
-set, the per-level replay loop, the five-pass power loop, the dense
+set, the per-level replay loops, the five-pass power loop, the dense
 Faddeev-LeVerrier loop, the memo-free campaign chunk, the per-bit graph6
 loops, the quadratic Erdos-Gallai loop, the counting Brualdi-Hoffman loop)
 exist only to check the library against.
@@ -16,13 +16,11 @@ import math
 import random
 
 from rho_bounds import (
-    CertificateViolationError,
     bound_report,
     ConvergenceError,
     DegreeSequence,
     Graph,
     GraphParseError,
-    ScalingCertificate,
     SpectralResult,
     degree_sequence,
     encode_graph6,
@@ -79,9 +77,10 @@ def check_equality_numeric(g: Graph, tol: float = TOLERANCES["equality"]) -> fro
     return tight_levels(phis.values, rho, tol)
 
 
-def row_sums_scaled_per_level(g: Graph, level: int, tol: float) -> ScalingCertificate:
-    """One level's certificate the direct way: sort the vertices by degree,
-    then sum each row's neighbor weights.  O(n + m) per level."""
+def row_sums_scaled_per_level(g: Graph, level: int) -> tuple:
+    """One level's scaling and row sums the direct way: sort the vertices by
+    degree, then sum each row's neighbor weights in floats.  O(n + m) per
+    level.  Returns (phi, x, row_sums) in the degree-sorted order."""
     n = g.n
     order = sorted(range(n), key=lambda v: (-len(g.neighbors[v]), v))
     seq = DegreeSequence.from_degrees(len(g.neighbors[v]) for v in order)
@@ -101,10 +100,24 @@ def row_sums_scaled_per_level(g: Graph, level: int, tol: float) -> ScalingCertif
         for u in g.neighbors[v]:
             acc += weight[position[u]]
         row_sums.append(acc / weight[pos])
-    for pos, r in enumerate(row_sums):
-        if r > value + tol:
-            raise CertificateViolationError(level, pos + 1, r, value)
-    return ScalingCertificate(level, x, tuple(row_sums), value, max(row_sums))
+    return value, x, tuple(row_sums)
+
+
+def row_slacks_per_level(g: Graph, level: int) -> tuple[int, ...]:
+    """One level's integer row slacks from their definition, in the
+    degree-sorted order: sum_{k in P - N[i]} (d_k - d_l) over the prefix P of
+    the top level-1 vertices, plus d_l - d_i on a row past the prefix."""
+    n = g.n
+    order = sorted(range(n), key=lambda v: (-len(g.neighbors[v]), v))
+    deg = [len(g.neighbors[v]) for v in order]
+    d = deg[level - 1]
+    prefix = set(order[:level - 1])
+    slacks = []
+    for pos, v in enumerate(order):
+        closed = set(g.neighbors[v]) | {v}
+        missed = sum(len(g.neighbors[k]) - d for k in prefix - closed)
+        slacks.append(missed + (d - deg[pos] if pos >= level - 1 else 0))
+    return tuple(slacks)
 
 
 def spectral_radius_power_five_pass(

@@ -60,13 +60,8 @@ def exhaustive_small():
 
 @pytest.fixture(scope="module")
 def exhaustive_seven():
-    """The n=7 sweep; replay is certified separately at n <= 6."""
-    result = run_campaign(CampaignConfig(
-        source="enumerate",
-        n=7,
-        jobs=JOBS,
-        checks=("soundness", "dominance", "equality", "unimodality", "oracle"),
-    ))
+    """The n=7 sweep, every check."""
+    result = run_campaign(CampaignConfig(source="enumerate", n=7, jobs=JOBS))
     assert result.graphs_checked == CONNECTED_COUNTS[7]
     return result
 
@@ -229,16 +224,21 @@ def test_criterion_07_minimum_location(
           f"{fallbacks} fallback sequences engaged)")
 
 
-def test_criterion_08_proof_replay(exhaustive_small):
-    """Scaled row sums certify the bound on every graph n <= 6, every level."""
+def test_criterion_08_proof_replay(exhaustive_small, exhaustive_seven):
+    """The integer row slacks certify the bound on every graph n <= 7, every
+    level, and rho stays below the largest scaled row sum."""
     total = 0
-    for n, result in exhaustive_small.items():
+    for n, result in enumerate(_all_exhaustive(exhaustive_small, exhaustive_seven), start=1):
         bad = _violations(result, "replay")
         assert bad == [], bad[:5]
+        # a graph has a level with every slack zero exactly when it is an
+        # equality case (not classified at n = 1)
+        if n > 1:
+            assert result.tight_instances["replay"] == result.tight_instances["equality"]
         total += result.graphs_checked
-    assert total == sum(CONNECTED_COUNTS[n] for n in range(1, 7))
+    assert total == sum(CONNECTED_COUNTS.values())
     print(f"\nACCEPTANCE 8 proof replay: PASS ({total} graphs, all levels, "
-          f"tol {TOLERANCES['replay']})")
+          f"slacks exact, rho <= max row sum + {TOLERANCES['soundness']})")
 
 
 def test_criterion_09_oracle_cross_validation(exhaustive_small, exhaustive_seven):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from rho_bounds import CSV_COLUMNS, gen_join_dominating, gen_named
+from rho_bounds import CSV_COLUMNS, Graph, gen_join_dominating, gen_named
+from rho_bounds import cli
 from rho_bounds.cli import run
 
 
@@ -384,11 +386,38 @@ class TestReplay:
                 assert captured.out == ""
                 assert f"level {level} out of range 1..4" in captured.err
 
+    def test_negative_slack_exits_1(self, monkeypatch, capsys):
+        # edge 0-1 listed twice on both sides: the bookkeeping counts it
+        # twice, and the certificate fails on a negative slack
+        double = Graph(3, ((1, 1, 2), (0, 0), (0,)))
+        monkeypatch.setattr(cli, "_read_graph", lambda args: double)
+        for output in ("text", "json"):
+            assert run(["replay", "--input", "-", "--level", "2", "--output", output]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                "certificate violation: row 2 has slack -1 < 0 (scaled sum ")
+
     def test_disconnected(self, tmp_path, capsys):
         path = tmp_path / "d.el"
         path.write_text("4\n0 1\n2 3\n")
         assert run(["replay", "--input", str(path), "--format", "edgelist",
                     "--level", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["bound", "--format", "graph6"], ["replay", "--level", "1"],
+], ids=["verify", "bound", "replay"])
+def test_bad_byte_reads_the_same_from_file_and_stdin(argv, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"C\xe9\n")
+    outcomes = []
+    for source in (str(path), "-"):
+        monkeypatch.setattr("sys.stdin", _Stdin(b"C\xe9\n"))
+        code = run([argv[0], "--input", source, *argv[1:]])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1] == (2, "", "error: non-ASCII input byte 233 (at offset 1)\n")
 
 
 class TestEntryPoint:
@@ -411,8 +440,7 @@ class TestEntryPoint:
 
 
 class _Stdin:
-    def __init__(self, text):
-        self._text = text
+    """Stands in for sys.stdin: ``data`` (text is ASCII-encoded) on its buffer."""
 
-    def read(self):
-        return self._text
+    def __init__(self, data):
+        self.buffer = io.BytesIO(data.encode("ascii") if isinstance(data, str) else data)

@@ -24,6 +24,7 @@ from rho_bounds import (
     parse_edge_list,
     parse_graph6,
 )
+from rho_bounds import graph_core
 
 
 @st.composite
@@ -180,6 +181,27 @@ class TestGraph6AgainstBitLoops:
     def test_long_path_round_trip(self):
         g = gen_named("path", 8000)
         assert parse_graph6(encode_graph6(g)) == g
+
+    def test_long_path_memory_near_the_record(self):
+        # the 8,000-vertex path's record is 5.3 MB; a bit string of the
+        # whole triangle would be 32 MB
+        record = encode_graph6(gen_named("path", 8000))
+        tracemalloc.start()
+        try:
+            g = parse_graph6(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 7999
+        assert peak < len(record)
+
+    def test_field_across_decode_pieces(self):
+        # n = 1000 has 83,250 body characters, more than one decode piece
+        rng = random.Random(1000)
+        g = random_graph(rng, 1000, 0.02)
+        text = encode_graph6(g)
+        assert len(text) - 4 > graph_core._PIECE
+        assert parse_graph6(text) == parse_graph6_bitloop(text) == g
 
 
 class TestParseEdgeList:

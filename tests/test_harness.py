@@ -4,14 +4,23 @@ import pytest
 
 import rho_bounds
 from rho_bounds import harness
+import dataclasses
+
 from rho_bounds import (
     CampaignConfig,
     CHECKS,
     CSV_COLUMNS,
+    EqualityCertificate,
     Graph,
     GraphParseError,
+    NONE,
+    REGULAR,
+    bound_report,
+    degree_sequence,
     encode_graph6,
+    gen_named,
     run_campaign,
+    spectral_radius_power,
 )
 from rho_bounds.graph_core import enumeration_space
 
@@ -50,7 +59,7 @@ class TestEnumerateCampaigns:
         assert "predicted" in detail
 
     def test_tol_leaves_fixed_tolerances_alone(self):
-        # --tol overrides only soundness, equality and replay; the other
+        # --tol overrides only soundness and equality; the other
         # checks keep their fixed tolerances, so a huge tol changes nothing
         checks = ("dominance", "unimodality", "oracle")
         default = campaign(source="enumerate", n=4, checks=checks)
@@ -189,6 +198,56 @@ class TestConfigValidation:
         assert len(set(rho_bounds.__all__)) == len(rho_bounds.__all__)
         for name in rho_bounds.__all__:
             assert getattr(rho_bounds, name) is not None, name
+
+
+def _replay(g, cert=None, rho=None):
+    """The replay check on one graph, reading only the soundness tolerance;
+    ``cert`` replaces the report's equality certificate."""
+    seq = degree_sequence(g)
+    report = bound_report(seq)
+    if cert is not None:
+        report = dataclasses.replace(report, cert=cert)
+    if rho is None:
+        rho = spectral_radius_power(g).rho
+    return harness._replay(g, seq, report, rho, {"soundness": 1e-9})
+
+
+class TestReplayCheck:
+    def test_equality_graphs_are_tight(self):
+        assert _replay(gen_named("cycle", 5)) == ([], True)
+        assert _replay(gen_named("star", 5)) == ([], True)
+        assert _replay(gen_named("path", 5)) == ([], False)
+
+    def test_unpredicted_flat_level(self):
+        details, tight = _replay(gen_named("cycle", 4), EqualityCertificate(NONE, None, frozenset()))
+        assert tight
+        assert details == [
+            f"level {level} has every scaled row sum at phi 2.0 but is not "
+            f"predicted tight (None)" for level in range(1, 5)
+        ]
+
+    def test_predicted_level_not_flat(self):
+        # the 4-path (2, 2, 1, 1) claimed regular: rows 3 and 4 sit below
+        # phi_1 = 2 at level 1 and 2, and no level is flat
+        details, tight = _replay(
+            gen_named("path", 4), EqualityCertificate(REGULAR, None, frozenset({1})))
+        assert not tight
+        assert details == [
+            "predicted-tight level 1 (Regular) has row 3 sum 1.0 != phi 2.0",
+            "predicted-tight level 1 (Regular) has row 4 sum 1.0 != phi 2.0",
+        ]
+
+    def test_rho_above_every_row(self):
+        details, _ = _replay(gen_named("complete", 3), rho=2.5)
+        assert details == [
+            f"rho=2.5 exceeds max scaled row sum 2.0 at level {level}" for level in (1, 2, 3)
+        ]
+
+    def test_negative_slack(self):
+        details, tight = _replay(Graph(3, ((1, 1, 2), (0, 0), (0,))), rho=2.0)
+        assert not tight
+        assert [d.split(" (")[0] for d in details] == [
+            "row 2 has slack -1 < 0", "row 1 has slack -1 < 0"]
 
 
 class TestSequenceMemo:

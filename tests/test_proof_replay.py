@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from conftest import random_connected_graph, random_tree, row_sums_scaled_per_level
+from conftest import (
+    random_connected_graph,
+    random_tree,
+    row_slacks_per_level,
+    row_sums_scaled_per_level,
+)
 from rho_bounds import (
     CertificateViolationError,
     DOMINATING,
@@ -19,6 +24,7 @@ from rho_bounds import (
     row_sums_scaled,
     spectral_radius_power,
 )
+from rho_bounds.proof_replay import row_slacks
 
 
 class TestScalingVector:
@@ -53,6 +59,10 @@ class TestScalingVector:
             row_sums_scaled(Graph.from_edges(2, [(0, 1)]), 3)
 
 
+#: Degrees (3, 2, 1) with the edge 0-1 listed twice on both sides.
+_DOUBLE_EDGE = Graph(3, ((1, 1, 2), (0, 0), (0,)))
+
+
 class TestRowSums:
     def test_k4_unscaled(self):
         for level in range(1, 5):
@@ -82,12 +92,15 @@ class TestRowSums:
         assert cert.x == expected.x
 
     def test_violation_error_payload(self):
-        # an impossible tolerance forces the failure path deterministically
+        # a neighbor listed twice (a double edge the constructor trusts)
+        # breaks the bookkeeping: vertex 1 counts vertex 0 twice
         with pytest.raises(CertificateViolationError) as err:
-            row_sums_scaled(gen_named("complete", 4), 1, tol=-1.0)
+            row_sums_scaled(_DOUBLE_EDGE, 2)
         exc = err.value
-        assert exc.level == 1 and exc.row >= 1
-        assert exc.row_sum > exc.bound - 1.0
+        assert (exc.level, exc.row, exc.slack) == (2, 2, -1)
+        assert exc.bound == phi(degree_sequence(_DOUBLE_EDGE), 2)
+        assert exc.row_sum > exc.bound
+        assert str(exc).startswith("row 2 has slack -1 < 0 (scaled sum ")
 
     def test_single_vertex(self):
         cert = row_sums_scaled(gen_named("path", 1), 1)
@@ -145,46 +158,30 @@ def _seeded_graphs():
         yield random_connected_graph(rng, n, 0.6)
 
 
-def _oracle_outcome(g, level, tol):
-    """The per-level oracle's certificate, or (level, row) of its violation."""
-    try:
-        return row_sums_scaled_per_level(g, level, tol)
-    except CertificateViolationError as exc:
-        return exc.level, exc.row
-
-
 class TestReplayEngine:
-    """``replay_levels`` against the direct per-level loop in conftest."""
-
-    NEGATIVE_TOLS = (-1e-7, -0.3)
+    """``replay_levels`` against the direct per-level loops in conftest."""
 
     def _check(self, g):
         certs = list(replay_levels(g))
         assert [c.level for c in certs] == list(range(1, g.n + 1))
         for cert in certs:
             level = cert.level
-            ref = _oracle_outcome(g, level, math.inf)
-            assert cert.phi == ref.phi and cert.x == ref.x
-            slack = 1e-12 * max(1.0, ref.phi)
-            assert len(cert.row_sums) == len(ref.row_sums) == g.n
-            for a, b in zip(cert.row_sums, ref.row_sums):
+            value, x, row_sums = row_sums_scaled_per_level(g, level)
+            assert cert.slacks == row_slacks_per_level(g, level)
+            assert cert.phi == value and cert.x == x
+            slack = 1e-12 * max(1.0, value)
+            assert len(cert.row_sums) == len(row_sums) == g.n
+            for a, b in zip(cert.row_sums, row_sums):
                 assert abs(a - b) <= slack
-            assert abs(cert.max_row_sum - ref.max_row_sum) <= slack
-            for tol in self.NEGATIVE_TOLS:
-                expected = _oracle_outcome(g, level, tol)
-                exc = cert.violation(tol)
-                got = (exc.level, exc.row) if exc is not None else None
-                assert got == (expected if isinstance(expected, tuple) else None)
-            # the one-level view raises the same error, or returns the same
-            # certificate
-            tol = self.NEGATIVE_TOLS[0]
-            exc = cert.violation(tol)
-            if exc is None:
-                assert row_sums_scaled(g, level, tol) == cert
-            else:
-                with pytest.raises(CertificateViolationError) as err:
-                    row_sums_scaled(g, level, tol)
-                assert str(err.value) == str(exc)
+            assert abs(cert.max_row_sum - max(row_sums)) <= slack
+            assert cert.violation() is None
+            # a row meets phi exactly when its slack is zero and d_i >= d_l;
+            # any other row is at least 1/(2n+2) below it
+            d = cert.degrees[level - 1]
+            for r, s, d_i in zip(cert.row_sums, cert.slacks, cert.degrees):
+                assert (abs(r - value) <= 1e-9) == (s == 0 and d_i >= d)
+            # the one-level view returns the same certificate
+            assert row_sums_scaled(g, level) == cert
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exhaustive(self, n):
@@ -204,3 +201,57 @@ class TestReplayEngine:
     def test_no_violation_at_default_tol(self):
         for g in _seeded_graphs():
             assert all(c.violation() is None for c in replay_levels(g))
+
+    def test_repeated_degree_reuses_the_slacks(self):
+        # degrees (3, 2, 2, 1, 1, 1): levels 3 and 5, 6 repeat their
+        # predecessor's degree, so they are the same list
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])
+        lists = list(row_slacks(g))
+        assert [a is b for a, b in zip(lists, lists[1:])] == [False, True, False, True, True]
+        assert [tuple(s) for s in row_slacks(g, 5)] == [tuple(lists[4])] * 2
+
+    def test_negative_slack_is_a_violation(self):
+        certs = list(replay_levels(_DOUBLE_EDGE))
+        assert [c.slacks for c in certs] == [(0, 1, 2), (0, -1, 1), (-1, -2, 1)]
+        assert [c.violation().row if c.violation() else None for c in certs] == [None, 2, 1]
+
+
+def _equality_graphs():
+    """Seeded connected G(n, p) graphs with 7 <= n <= 40, and relabeled
+    members of the equality families."""
+    rng = random.Random(4242)
+    for n in range(7, 41):
+        for p in (0.15, 0.35, 0.6, 0.85):
+            yield random_connected_graph(rng, n, p)
+        t = rng.randint(2, n - 1)
+        h = n - t + 1
+        r = rng.choice([r for r in range(h) if r * h % 2 == 0])
+        g = gen_join_dominating(n, t, r)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        yield gen_named("cycle", n)
+
+
+class TestExactEquality:
+    """The levels where every slack is zero are exactly the levels
+    ``classify_equality`` predicts tight: equality decided in integers,
+    without an eigenvalue or a tolerance."""
+
+    @staticmethod
+    def _zero_slack_levels(g):
+        return frozenset(c.level for c in replay_levels(g) if not any(c.slacks))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_exhaustive(self, n):
+        for g in enumerate_connected(n):
+            predicted = classify_equality(degree_sequence(g)).predicted_tight_levels
+            assert self._zero_slack_levels(g) == predicted
+
+    def test_seeded_up_to_40(self):
+        kinds = set()
+        for g in _equality_graphs():
+            cert = classify_equality(degree_sequence(g))
+            kinds.add(cert.kind)
+            assert self._zero_slack_levels(g) == cert.predicted_tight_levels
+        assert kinds == {"Regular", "Dominating", "None"}

@@ -43,7 +43,6 @@ def test_values_pinned():
     assert TOLERANCES == {
         "soundness": 1e-9,
         "equality": 1e-6,
-        "replay": 1e-9,
         "dominance": 1e-12,
         "comparator": 1e-9,
         "oracle": 1e-9,
@@ -55,7 +54,7 @@ def test_values_pinned():
         "root_bracket": 1e-12,
         "root_enclosure": 1e-13,
     }
-    assert OVERRIDDEN_BY_TOL == ("soundness", "equality", "replay")
+    assert OVERRIDDEN_BY_TOL == ("soundness", "equality")
 
 
 def test_harness_reads_the_table():
