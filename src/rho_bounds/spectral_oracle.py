@@ -1,9 +1,16 @@
 """Spectral radius of a connected graph by two independent methods.
 
-``spectral_radius_power`` runs shifted power iteration; ``spectral_radius_charpoly``
-computes the characteristic polynomial in exact integer arithmetic and
-isolates its largest real root with a certified bisection.  The two share no
-code path, so their agreement is a meaningful cross-check.
+``spectral_radius_power`` runs Lanczos (Lanczos, 1950) over the neighbor
+lists from the all-ones vector; ``spectral_radius_charpoly`` computes the
+characteristic polynomial in exact integer arithmetic and isolates its
+largest real root with a certified bisection.  The two share no code path
+(the tridiagonal eigenvalue solver here is not the polynomial root finder),
+so their agreement is a meaningful cross-check.
+
+Lanczos keeps only the tridiagonal's coefficients and three vectors, so its
+memory is O(n + k) after k steps; the Ritz vector is summed in a second pass
+that regenerates the Lanczos vectors, and rho is accepted only on an
+explicit residual test.
 
 The characteristic polynomial comes from Faddeev-LeVerrier with each matrix
 row packed into one Python integer of FIELD_BITS-bit signed fields; at
@@ -17,6 +24,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
+from operator import mul
 
 from .graph_core import Graph
 from .tolerances import TOLERANCES
@@ -24,15 +33,20 @@ from .tolerances import TOLERANCES
 MAX_ITERATIONS = 10**6
 CHARPOLY_MAX_N = 12
 FIELD_BITS = 64
+#: Lanczos skips the solve of T_k at steps whose residual, predicted from
+#: the last step, is above this many 'power_residual' tolerances.
+SOLVE_FACTOR = 100.0
 
 
 @dataclass(frozen=True, slots=True)
 class SpectralResult:
     """Largest adjacency eigenvalue with convergence diagnostics.
 
-    For the power method ``residual`` is the infinity norm of A*v - rho*v at
-    the accepted iterate; for the charpoly method it is the width of the
-    certified enclosure of the root.
+    For the Lanczos method (``method`` "power") ``iterations`` counts
+    products with A and ``residual`` is |A*y - rho*y|_inf / |y|_2 at the
+    accepted Ritz vector y; for the charpoly method they are the root
+    isolation's iterations and the width of the certified enclosure of the
+    root.
     """
 
     rho: float
@@ -42,7 +56,7 @@ class SpectralResult:
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration hit its iteration cap.  Carries the last estimate."""
+    """Lanczos hit its cap on products with A.  Carries the last estimate."""
 
     def __init__(self, message: str, last_estimate: float):
         super().__init__(message)
@@ -53,56 +67,223 @@ class UnsupportedSizeError(ValueError):
     """Graph too large for the exact characteristic-polynomial method."""
 
 
-def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> SpectralResult:
-    """Power iteration on A+I from the all-ones vector.
+def _product(nbrs, q, q_prev, beta_prev: float) -> tuple[list[float], float]:
+    """A*q - beta_prev*q_prev over the neighbor lists, and its dot product
+    with q."""
+    w = []
+    alpha = 0.0
+    for nb, qi, pi in zip(nbrs, q, q_prev):
+        acc = 0.0
+        for u in nb:
+            acc += q[u]
+        acc -= beta_prev * pi
+        w.append(acc)
+        alpha += qi * acc
+    return w, alpha
 
-    The +I shift makes the dominant eigenvalue strictly largest in magnitude
-    even for bipartite graphs, and the all-ones start has positive overlap
-    with the Perron vector, so convergence is guaranteed for connected
-    graphs.  Stops once successive Rayleigh quotients differ by less than
-    the 'power_step' tolerance and the residual is at most 'power_residual'.
+
+def _pivots(alphas: list[float], beta2: list[float], x: float):
+    """One UDU^T pass over T - x*I from the last row up, T the k-by-k
+    tridiagonal with diagonal ``alphas`` and squared off-diagonal ``beta2``.
+
+    The pivots are d_k = a_k - x and d_j = a_j - x - b_j^2 / d_{j+1}; their
+    derivatives in x are e_k = -1 and e_j = -1 + b_j^2 e_{j+1} / d_{j+1}^2.
+    The number of nonnegative pivots is the number of eigenvalues at or
+    above x (a Sturm count).  The pass returns None at the first
+    nonnegative pivot above d_1, so x lies above the largest eigenvalue of
+    every trailing block T[j:k], j >= 2, whenever it returns
+    (sum_{j>1} e_j / d_j, e_1, d_1, prod_{j>1} b_{j-1}^2 / d_j^2).
+
+    Then d_1 < 0 says x is above every eigenvalue, and the full sum
+    e_1/d_1 + ... is p'(x)/p(x) for p = det(T - x*I).  At an eigenvalue
+    with unit eigenvector s, -1/e_1 is s_1^2 and the product is
+    s_k^2 / s_1^2.  Running from the bottom matters once Lanczos has
+    converged: the top eigenvalue then agrees with that of the leading
+    blocks to rounding, so top-down pivots pass through zero, while the
+    trailing blocks stay clear of it.
     """
-    step_tol, residual_tol = TOLERANCES["power_step"], TOLERANCES["power_residual"]
-    n = g.n
+    rows = reversed(alphas)
+    d = next(rows) - x
+    e = -1.0
+    g = 0.0
+    ratio = 1.0
+    for a, b2 in zip(rows, reversed(beta2)):
+        if not d < 0.0:
+            return None
+        g += e / d
+        t = b2 / d
+        u = t / d
+        e = u * e - 1.0
+        ratio *= u
+        d = a - x - t
+    return g, e, d, ratio
+
+
+def _largest_eigenvalue(alphas, beta2, upper: float, bound: float):
+    """Largest eigenvalue theta of the tridiagonal T, with e_1 and the
+    product of ``_pivots`` at the last point evaluated (theta, or one
+    Newton step above it).
+
+    Newton on det(T - x*I) from above the largest root decreases
+    monotonically to it, because every root is real.  ``upper`` is a guess
+    that the Sturm count confirms or rejects; ``bound`` is a proven bound
+    (Gershgorin's), widened only if rounding rejects it.  The iteration
+    stops when a step should leave less than a unit in the last place
+    (quadratic convergence: about step^3 / last_step^2), when rounding puts
+    the next point at or below the root (d_1 turns nonnegative: that point
+    is the root to rounding), or when a step no longer moves x down.
+    """
+    x = upper
+    found = _pivots(alphas, beta2, x)
+    while found is None or not found[2] < 0.0:
+        x, bound = bound, bound + (bound - upper) + 1.0
+        found = _pivots(alphas, beta2, x)
+    g, e, d, ratio = found
+    last = 0.0
+    while True:
+        step = 1.0 / (g + e / d)
+        nxt = x - step
+        if not nxt < x:
+            break
+        if step * step * step <= last * last * math.ulp(x):
+            return nxt, e, ratio
+        found = _pivots(alphas, beta2, nxt)
+        if found is None:
+            break
+        x, last = nxt, step
+        g, e, d, ratio = found
+        if not d < 0.0:
+            break
+    return x, e, ratio
+
+
+def _ritz_coefficients(alphas, beta2, betas, theta: float) -> list[float]:
+    """The eigenvector s of T for its largest eigenvalue theta, scaled to
+    s_1 = 1.
+
+    With T - theta*I = U D U^T, solving U^T s = e_1 gives
+    s_{j+1} = -b_j s_j / d_{j+1}.  Every pivot d_j with j > 1 is negative,
+    so every entry is positive and formed without cancellation.
+    """
+    k = len(alphas)
+    pivots = [0.0] * k
+    d = alphas[-1] - theta
+    for j in range(k - 1, 0, -1):
+        if not d < 0.0:
+            # rounding put theta on an eigenvalue of a trailing block
+            return _ritz_coefficients(alphas, beta2, betas, math.nextafter(theta, math.inf))
+        pivots[j] = d
+        d = alphas[j - 1] - theta - beta2[j - 1] / d
+    s = [1.0] * k
+    for j in range(1, k):
+        s[j] = s[j - 1] * betas[j - 1] / -pivots[j]
+    return s
+
+
+def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> SpectralResult:
+    """Largest adjacency eigenvalue by Lanczos from the all-ones vector (the
+    name predates Lanczos; the result's method stays "power").
+
+    Step k multiplies the Lanczos vector q_k by A and appends alpha_k and
+    beta_k to the tridiagonal T_k.  With theta the largest eigenvalue of
+    T_k and s its unit eigenvector, beta_k*|s_k| is the residual of the
+    Ritz pair in exact arithmetic, and the steps stop once it is at most
+    the 'power_residual' tolerance.  A step finds theta and s_k
+    (``_largest_eigenvalue``, Newton warm-started from the last step) only
+    when the residual predicted from the last step's, beta_k*r/(theta -
+    alpha_k) for the 2-by-2 coupling of the last Ritz pair to the new row,
+    is within SOLVE_FACTOR of the tolerance; otherwise it carries the
+    2-by-2 estimates forward.  The prediction holds once the Ritz vector
+    has settled, not while it still spreads over the whole basis (long
+    paths), so a solve that finds the residual above SOLVE_FACTOR
+    tolerances turns the skipping off until a solve finds it within them:
+    Newton needs a start close above the root, and a stale theta at large
+    k costs O(k) passes.
+
+    A second pass regenerates q_1..q_k from the stored coefficients (the
+    same floats in the same order, so the same vectors) and sums the Ritz
+    vector y = sum s_j q_j.  rho = y.Ay / y.y, every sum in it rounded once,
+    is accepted when the explicit residual |Ay - rho*y|_inf / |y|_2 is at
+    most 'power_residual'; otherwise Lanczos restarts from y.  The all-ones
+    start has positive overlap with the Perron vector, so the largest
+    eigenvalue of A is in reach on a connected graph.  Memory is O(n + k):
+    no basis is stored.
+
+    ``max_iterations`` caps the products with A over both passes and every
+    restart; ``iterations`` reports the products used.
+    """
+    tol = TOLERANCES["power_residual"]
     nbrs = g.neighbors
-    v = [1.0 / math.sqrt(n)] * n
-    rq_prev = None
-    rq = 0.0
-    for iteration in range(1, max_iterations + 1):
-        # one pass: A*v, the Rayleigh quotient, (A+I)*v and its squared norm
-        av = [0.0] * n
-        w = [0.0] * n
-        rq = 0.0
-        norm = 0.0
-        for i, nb in enumerate(nbrs):
-            acc = 0.0
-            for u in nb:
-                acc += v[u]
-            av[i] = acc
-            vi = v[i]
-            rq += vi * acc
-            acc += vi
-            w[i] = acc
-            norm += acc * acc
-        # the residual is read only once the Rayleigh quotients agree
-        if rq_prev is not None and abs(rq - rq_prev) < step_tol:
-            residual = 0.0
-            for i in range(n):
-                d = av[i] - rq * v[i]
-                if d < 0.0:
-                    d = -d
-                if d > residual:
-                    residual = d
-            if residual <= residual_tol:
-                return SpectralResult(rq, iteration, residual, "power")
-        rq_prev = rq
-        norm = math.sqrt(norm)
-        v = [x / norm for x in w]
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iterations} iterations "
-        f"(last estimate {rq})",
-        rq,
-    )
+    zeros = [0.0] * g.n
+    start = [1.0] * g.n
+    products = 0
+    theta = 0.0
+
+    def count_product():
+        nonlocal products
+        if products == max_iterations:
+            raise ConvergenceError(
+                f"Lanczos did not converge in {max_iterations} products with A "
+                f"(last estimate {theta})",
+                theta,
+            )
+        products += 1
+
+    while True:
+        scale = math.sqrt(math.fsum([x * x for x in start]))
+        first = q = [x / scale for x in start]
+        q_prev, beta_prev = zeros, 0.0
+        alphas: list[float] = []
+        betas: list[float] = []
+        beta2: list[float] = []
+        residual = gershgorin = 0.0
+        predict = True
+        while True:
+            count_product()
+            w, alpha = _product(nbrs, q, q_prev, beta_prev)
+            alphas.append(alpha)
+            w = [wi - alpha * qi for wi, qi in zip(w, q)]
+            beta = math.sqrt(math.fsum([wi * wi for wi in w]))
+            if len(alphas) == 1:
+                theta, residual = alpha, beta
+            else:
+                # theta's shift, and the residual, when only theta's Ritz
+                # pair is coupled to the new row (a 2-by-2 eigenproblem)
+                half = 0.5 * (theta - alpha)
+                shift = math.sqrt(half * half + residual * residual) - half
+                if (predict and theta > alpha
+                        and beta * residual > SOLVE_FACTOR * tol * (theta - alpha)):
+                    theta, residual = theta + shift, beta * residual / (theta - alpha)
+                else:
+                    theta, e, ratio = _largest_eigenvalue(
+                        alphas, beta2, theta + 2.0 * shift, max(gershgorin, alpha + beta_prev))
+                    residual = beta * math.sqrt(ratio / -e)
+                    # skip again only after a solve within SOLVE_FACTOR
+                    predict = residual <= SOLVE_FACTOR * tol
+            if residual <= tol:
+                break
+            gershgorin = max(gershgorin, alpha + beta_prev + beta)
+            betas.append(beta)
+            beta2.append(beta * beta)
+            q_prev, q, beta_prev = q, [wi / beta for wi in w], beta
+        s = _ritz_coefficients(alphas, beta2, betas, theta)
+        q, q_prev, beta_prev = first, zeros, 0.0
+        y = [s[0] * qi for qi in q]
+        for sj, alpha, beta in zip(islice(s, 1, None), alphas, betas):
+            count_product()
+            w, _ = _product(nbrs, q, q_prev, beta_prev)
+            q_prev, q, beta_prev = q, [(wi - alpha * qi) / beta for wi, qi in zip(w, q)], beta
+            y = [yi + sj * qi for yi, qi in zip(y, q)]
+        count_product()
+        # every entry of A*y and both dot products rounded once
+        get = y.__getitem__
+        ay = [math.fsum(map(get, nb)) for nb in nbrs]
+        yy = math.fsum(map(mul, y, y))
+        rho = math.fsum(map(mul, y, ay)) / yy
+        residual = max([abs(ai - rho * yi) for ai, yi in zip(ay, y)]) / math.sqrt(yy)
+        if residual <= tol:
+            return SpectralResult(rho, products, residual, "power")
+        theta, start = rho, y
 
 
 def characteristic_polynomial(g: Graph) -> tuple[int, ...]:

@@ -13,8 +13,7 @@ TOLERANCES = {
     "oracle": 1e-9,           # |power rho - charpoly rho| <= tol
     "tight": 1e-6,            # tight-instance count of soundness
     "oracle_tight": 1e-12,    # tight-instance count of the oracle
-    "power_step": 1e-12,      # power iteration: Rayleigh quotient step to stop at
-    "power_residual": 1e-9,   # power iteration: largest accepted |Av - rho v|_inf
+    "power_residual": 1e-9,   # Lanczos: residual to stop at and to accept, |Ay - rho y|_inf
     "newton_step": 1e-14,     # root isolation: Newton step to stop at
     "root_bracket": 1e-12,    # root isolation: first bracket step from Newton's point
     "root_enclosure": 1e-13,  # root isolation: enclosure width to bisect down to

@@ -4,24 +4,21 @@ The surd comparator below decides orderings of (a + sqrt(b))/2 values in
 pure integer arithmetic, giving the tests a tie-detection oracle that owes
 nothing to the library's prefix-sum comparison logic.  The structural
 oracles (adjacency invariants, union-find connectivity, the numeric tight
-set, the per-level replay loops, the five-pass power loop, the dense
-Faddeev-LeVerrier loop, the memo-free campaign chunk, the per-bit graph6
-loops, the quadratic Erdos-Gallai loop, the counting Brualdi-Hoffman loop)
-exist only to check the library against.
+set, the per-level replay loops, the dense Faddeev-LeVerrier loop, the
+memo-free campaign chunk, the per-bit graph6 loops, the quadratic
+Erdos-Gallai loop, the counting Brualdi-Hoffman loop) exist only to check
+the library against.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 from rho_bounds import (
     bound_report,
-    ConvergenceError,
     DegreeSequence,
     Graph,
     GraphParseError,
-    SpectralResult,
     degree_sequence,
     encode_graph6,
     is_connected,
@@ -32,7 +29,7 @@ from rho_bounds import (
 )
 from rho_bounds import harness
 from rho_bounds.graph_core import _G6_MAX_N
-from rho_bounds.spectral_oracle import CHARPOLY_MAX_N, MAX_ITERATIONS, UnsupportedSizeError
+from rho_bounds.spectral_oracle import CHARPOLY_MAX_N, UnsupportedSizeError
 from rho_bounds.tolerances import TOLERANCES
 
 
@@ -118,48 +115,6 @@ def row_slacks_per_level(g: Graph, level: int) -> tuple[int, ...]:
         missed = sum(len(g.neighbors[k]) - d for k in prefix - closed)
         slacks.append(missed + (d - deg[pos] if pos >= level - 1 else 0))
     return tuple(slacks)
-
-
-def spectral_radius_power_five_pass(
-    g: Graph, tol: float = TOLERANCES["power_step"],
-    residual_tol: float = TOLERANCES["power_residual"],
-    max_iterations: int = MAX_ITERATIONS,
-) -> SpectralResult:
-    """Power iteration on A+I with one pass per step: A*v, the Rayleigh
-    quotient, the residual, the shift and norm, the division."""
-    n = g.n
-    v = [1.0 / math.sqrt(n)] * n
-    rq_prev = None
-    rq = 0.0
-    for iteration in range(1, max_iterations + 1):
-        w = [0.0] * n
-        for i, nb in enumerate(g.neighbors):
-            acc = 0.0
-            for u in nb:
-                acc += v[u]
-            w[i] = acc
-        rq = 0.0
-        for i in range(n):
-            rq += v[i] * w[i]
-        residual = 0.0
-        for i in range(n):
-            d = w[i] - rq * v[i]
-            if d < 0.0:
-                d = -d
-            if d > residual:
-                residual = d
-        if rq_prev is not None and abs(rq - rq_prev) < tol and residual <= residual_tol:
-            return SpectralResult(rq, iteration, residual, "power")
-        rq_prev = rq
-        norm = 0.0
-        for i in range(n):
-            w[i] += v[i]
-            norm += w[i] * w[i]
-        norm = math.sqrt(norm)
-        for i in range(n):
-            w[i] /= norm
-        v = w
-    raise ConvergenceError("power iteration did not converge", rq)
 
 
 def characteristic_polynomial_dense(g: Graph) -> tuple[int, ...]:

@@ -242,11 +242,13 @@ def test_criterion_08_proof_replay(exhaustive_small, exhaustive_seven):
 
 
 def test_criterion_09_oracle_cross_validation(exhaustive_small, exhaustive_seven):
-    """Power and charpoly agree to 1e-9 exhaustively (n <= 7) and on 10^4
-    random graphs for each of n = 8, 9; closed forms hit to 1e-10."""
+    """Power and charpoly agree to 1e-9 exhaustively (n <= 7), and every
+    exhaustive graph is oracle-tight (within 1e-12); they agree to 1e-9 on
+    10^4 random graphs for each of n = 8, 9; closed forms hit to 1e-10."""
     for result in _all_exhaustive(exhaustive_small, exhaustive_seven):
         bad = _violations(result, "oracle")
         assert bad == [], bad[:5]
+        assert result.tight_instances["oracle"] == result.graphs_checked
     rng = random.Random(20260809)
     worst = 0.0
     for n in (8, 9):
@@ -268,7 +270,8 @@ def test_criterion_09_oracle_cross_validation(exhaustive_small, exhaustive_seven
             assert abs(
                 method(gen_named("complete", n)).rho - (n - 1)
             ) <= CLOSED_FORM_TOL
-    print(f"\nACCEPTANCE 9 oracle cross-validation: PASS (exhaustive n<=7, "
+    print(f"\nACCEPTANCE 9 oracle cross-validation: PASS (exhaustive n<=7, all "
+          f"within {TOLERANCES['oracle_tight']}, "
           f"20000 random n=8,9 with worst gap {worst:.2e}, closed forms to "
           f"{CLOSED_FORM_TOL})")
 

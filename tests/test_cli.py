@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from rho_bounds import CSV_COLUMNS, Graph, gen_join_dominating, gen_named
+from rho_bounds import (
+    CSV_COLUMNS,
+    Graph,
+    encode_graph6,
+    gen_join_dominating,
+    gen_named,
+    parse_graph6,
+    spectral_radius_charpoly,
+)
 from rho_bounds import cli
 from rho_bounds.cli import run
 
@@ -29,6 +37,18 @@ class TestBound:
             *CSV_COLUMNS, "degrees", "phi", "shu_wu", "argmin_levels",
             "predicted_tight_levels",
         ]
+
+    def test_long_path_converges(self, tmp_path, capsys):
+        # the spectral gap of the path P_n shrinks like 1/n^2: power
+        # iteration needs about n^2 steps (past the 10**6 cap here), Lanczos
+        # about n products
+        n = 1700
+        path = tmp_path / "path.g6"
+        path.write_text(encode_graph6(gen_named("path", n)) + "\n")
+        assert run(["bound", "--input", str(path), "--format", "graph6",
+                    "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["rho"] - 2 * math.cos(math.pi / (n + 1))) <= 1e-12
 
     @pytest.mark.parametrize("fmt, text, empty, present", [
         ("sequence", "4,3,3,2,1,1\n", ["rho:", "cert_t:", "slack_min:"],
@@ -188,6 +208,18 @@ class TestVerify:
              for v in row.values()]
             for row in doc["rows"]
         ] == cells
+
+    def test_n4_reference_rho_matches_charpoly(self):
+        """The pinned rho bytes of tests/data/verify_n4.csv lie within
+        ``oracle_tight`` of the independent charpoly oracle."""
+        reference = (Path(__file__).parent / "data" / "verify_n4.csv").read_text("ascii")
+        header, *cells = csv.reader(reference.splitlines())
+        column = {name: i for i, name in enumerate(header)}
+        assert len(cells) == 38
+        for row in cells:
+            g = parse_graph6(row[column["id"]])
+            rho = float(row[column["rho"]])
+            assert abs(rho - spectral_radius_charpoly(g).rho) <= 1e-12, row
 
     def test_input_stdin_matches_file(self, tmp_path, monkeypatch, capsys):
         """``verify --input -`` reads the n=4 stream from stdin and prints the
@@ -351,13 +383,15 @@ class TestReplay:
 
     @pytest.mark.parametrize("level, text", [
         (1, "id: Cs\nlevel: 1\nphi: 3.0\nx: ()\nrow_sums: (3.0, 1.0, 1.0, 1.0)\n"
-            "max_row_sum: 3.0\nslack: 0.0\n"),
+            "max_row_sum: 3.0\nslack: 0.0\nslacks: (0, 2, 2, 2)\n"),
+        # the float row sum of the hub is one ulp above phi; its integer
+        # slack, which decides the row, is 0
         (2, f"id: Cs\nlevel: 2\nphi: {_R3}\nx: ({_R3})\n"
             f"row_sums: ({_R3_UP}, {_R3}, {_R3}, {_R3})\n"
-            f"max_row_sum: {_R3_UP}\nslack: -2.220446049250313e-16\n"),
+            f"max_row_sum: {_R3_UP}\nslack: -2.220446049250313e-16\nslacks: (0, 0, 0, 0)\n"),
         (4, f"id: Cs\nlevel: 4\nphi: {_R3}\nx: ({_R3}, 1.0, 1.0)\n"
             f"row_sums: ({_R3_UP}, {_R3}, {_R3}, {_R3})\n"
-            f"max_row_sum: {_R3_UP}\nslack: -2.220446049250313e-16\n"),
+            f"max_row_sum: {_R3_UP}\nslack: -2.220446049250313e-16\nslacks: (0, 0, 0, 0)\n"),
     ])
     def test_star_full_text(self, level, text, tmp_path, capsys):
         path = tmp_path / "star.g6"
@@ -374,6 +408,7 @@ class TestReplay:
         assert doc["row_sums"] == [3.0, 3.0, 3.0, 3.0]
         assert doc["phi"] == 3.0
         assert doc["slack"] == 0.0
+        assert doc["slacks"] == [0, 0, 0, 0]
 
     def test_level_out_of_range(self, tmp_path, capsys):
         path = tmp_path / "k4.g6"

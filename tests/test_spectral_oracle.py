@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,7 +9,6 @@ from conftest import (
     random_connected_graph,
     random_graph,
     random_tree,
-    spectral_radius_power_five_pass,
 )
 from rho_bounds import (
     ConvergenceError,
@@ -23,12 +23,16 @@ from rho_bounds import (
     spectral_radius_charpoly,
     spectral_radius_power,
 )
+from rho_bounds import spectral_oracle
 from rho_bounds.spectral_oracle import (
     CHARPOLY_MAX_N,
     FIELD_BITS,
     _cached_root,
+    _largest_eigenvalue,
+    _ritz_coefficients,
     largest_real_root,
 )
+from rho_bounds.tolerances import TOLERANCES
 
 BOTH_METHODS = (spectral_radius_power, spectral_radius_charpoly)
 
@@ -52,9 +56,16 @@ class TestPowerIteration:
         assert res.rho == 0.0
 
     def test_residual_within_tolerance(self):
-        for g in (gen_named("path", 7), gen_named("cycle", 6), gen_named("star", 9)):
+        rng = random.Random(4242)
+        graphs = [gen_named("path", 7), gen_named("cycle", 6), gen_named("star", 9)]
+        graphs += [g for n in range(1, 6) for g in enumerate_connected(n)]
+        graphs += [random_tree(rng, n) for n in (7, 30, 120)]
+        graphs += [random_connected_graph(rng, n, 0.3) for n in (13, 40)]
+        for g in graphs:
             res = spectral_radius_power(g)
-            assert res.residual <= 1e-9
+            assert 0.0 <= res.residual <= TOLERANCES["power_residual"]
+            # one product for each step, each regenerated vector and A*y
+            assert res.iterations >= 2 and res.iterations % 2 == 0
 
     def test_iteration_cap(self):
         with pytest.raises(ConvergenceError) as err:
@@ -62,42 +73,120 @@ class TestPowerIteration:
         assert err.value.last_estimate > 0
 
 
-def _power_outcome(method, g, **kwargs):
-    """Every field of the result, floats as their exact bits (hex)."""
-    try:
-        res = method(g, **kwargs)
-    except ConvergenceError as exc:
-        return "ConvergenceError", exc.last_estimate.hex()
-    return res.rho.hex(), res.iterations, res.residual.hex(), res.method
+def _mask_sample(n, count, seed):
+    """``count`` connected graphs on n vertices at seeded distinct edge masks."""
+    rng = random.Random(seed)
+    graphs = []
+    for mask in rng.sample(range(1 << (n * (n - 1) // 2)), 4 * count):
+        g = _mask_graph(n, mask)
+        if is_connected(g):
+            graphs.append(g)
+            if len(graphs) == count:
+                return graphs
+    raise AssertionError("sample too small")
 
 
-def _power_corpus():
-    """Every connected graph with n <= 6, then paths, cycles and random
-    trees up to n = 120."""
-    for n in range(1, 7):
-        yield from enumerate_connected(n)
-    rng = random.Random(4242)
-    for n in (7, 13, 30, 64, 120):
-        yield gen_named("path", n)
-        yield gen_named("cycle", n)
-        yield random_tree(rng, n)
+class TestLanczos:
+    """Properties of the Lanczos oracle against closed forms and the
+    independent charpoly oracle."""
+
+    @pytest.mark.parametrize("name, radius", [
+        ("path", lambda n: 2 * math.cos(math.pi / (n + 1))),
+        ("cycle", lambda n: 2.0),
+        ("complete", lambda n: n - 1.0),
+        ("star", lambda n: math.sqrt(n - 1)),
+    ], ids=["path", "cycle", "complete", "star"])
+    def test_closed_forms_to_200(self, name, radius):
+        first = 3 if name == "cycle" else 2
+        for n in range(first, 201):
+            res = spectral_radius_power(gen_named(name, n))
+            assert abs(res.rho - radius(n)) <= 1e-12, (name, n, res)
+
+    def test_charpoly_agreement_n7_sample(self):
+        tight = TOLERANCES["oracle_tight"]
+        for g in _mask_sample(7, 2000, 7077):
+            rho_p = spectral_radius_power(g).rho
+            rho_c = spectral_radius_charpoly(g).rho
+            assert abs(rho_p - rho_c) <= tight, encode_fail(g, rho_p, rho_c)
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_last_estimate_at_tiny_cap(self, cap):
+        g = gen_named("path", 9)
+        with pytest.raises(ConvergenceError) as err:
+            spectral_radius_power(g, max_iterations=cap)
+        estimate = err.value.last_estimate
+        assert f"in {cap} products" in str(err.value)
+        # the Ritz values rise toward rho from the average degree
+        if cap == 0:
+            assert estimate == 0.0
+        else:
+            assert 16 / 9 - 1e-12 <= estimate <= 2 * math.cos(math.pi / 10)
+
+    def test_restart_from_a_poor_ritz_vector(self, monkeypatch):
+        # the first run's Ritz vector is replaced by q_1, the normalized
+        # start: its explicit residual fails, and Lanczos restarts from it
+        g = random_tree(random.Random(99), 40)
+        clean = spectral_radius_power(g)
+        calls = []
+
+        def first_vector_once(alphas, beta2, betas, theta):
+            s = _ritz_coefficients(alphas, beta2, betas, theta)
+            calls.append(len(s))
+            return s if len(calls) > 1 else [1.0] + [0.0] * (len(s) - 1)
+
+        monkeypatch.setattr(spectral_oracle, "_ritz_coefficients", first_vector_once)
+        res = spectral_radius_power(g)
+        assert len(calls) == 2
+        assert res.iterations > clean.iterations
+        assert res.residual <= TOLERANCES["power_residual"]
+        assert abs(res.rho - clean.rho) <= 1e-12
+
+    def test_memory_is_linear(self):
+        # a stored basis would hold about n/2 vectors of n floats (about
+        # 8 MB here); three vectors and the tridiagonal take well under 1 MB
+        g = gen_named("path", 700)
+        tracemalloc.start()
+        try:
+            res = spectral_radius_power(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.iterations >= 350
+        assert peak < 1_000_000
 
 
-class TestFusedPowerLoop:
-    """The fused loop against the five-pass loop in conftest: same
-    arithmetic in the same order, so every field must match bit for bit."""
+class TestTridiagonal:
+    """The tridiagonal solver on T = the path P_k (zero diagonal, unit
+    off-diagonal): largest eigenvalue 2 cos(pi/(k+1)), eigenvector
+    s_j = sin(j pi/(k+1))."""
 
-    def test_bit_identical(self):
-        for g in _power_corpus():
-            got = _power_outcome(spectral_radius_power, g)
-            assert got == _power_outcome(spectral_radius_power_five_pass, g)
-            assert got[0] != "ConvergenceError"
+    @pytest.mark.parametrize("k", [2, 3, 10, 60])
+    def test_path_matrix(self, k):
+        alphas, beta2, betas = [0.0] * k, [1.0] * (k - 1), [1.0] * (k - 1)
+        exact = 2 * math.cos(math.pi / (k + 1))
+        theta, e, ratio = _largest_eigenvalue(alphas, beta2, 2.0, 2.0)
+        assert abs(theta - exact) <= 1e-14
+        s = _ritz_coefficients(alphas, beta2, betas, theta)
+        expected = [math.sin(j * math.pi / (k + 1)) / math.sin(math.pi / (k + 1))
+                    for j in range(1, k + 1)]
+        assert max(abs(a - b) / b for a, b in zip(s, expected)) <= 1e-12
+        # -1/e_1 = s_1^2 and ratio = s_k^2 / s_1^2 for the unit eigenvector,
+        # read at the last point Newton evaluated (one small step above)
+        assert abs(-e - math.fsum(x * x for x in expected)) <= 1e-6 * -e
+        assert abs(ratio - 1.0) <= 1e-6
 
-    def test_last_estimate_identical(self):
-        for g in _power_corpus():
-            got = _power_outcome(spectral_radius_power, g, max_iterations=3)
-            ref = _power_outcome(spectral_radius_power_five_pass, g, max_iterations=3)
-            assert got == ref
+    def test_bound_on_an_eigenvalue_is_widened(self):
+        # [[1, 1], [1, 1]] has eigenvalues 0 and 2: the guess 1.5 is below
+        # 2, and the Gershgorin bound 2 is the eigenvalue itself
+        theta, e, ratio = _largest_eigenvalue([1.0, 1.0], [1.0], 1.5, 2.0)
+        assert abs(theta - 2.0) <= 1e-15
+        assert abs(e + 2.0) <= 1e-6 and abs(ratio - 1.0) <= 1e-6
+
+    def test_theta_on_a_trailing_eigenvalue(self):
+        # theta equal to a_2 puts the trailing pivot at zero: the eigenvector
+        # is taken one ulp higher, finite and positive
+        s = _ritz_coefficients([3.0, 1.0], [1e-20], [1e-10], 1.0)
+        assert s[0] == 1.0 and 0.0 < s[1] < math.inf
 
 
 class TestCharacteristicPolynomial:
@@ -260,11 +349,12 @@ class TestClosedForms:
 
 class TestMethodAgreement:
     def test_exhaustive_small(self):
-        for n in range(1, 6):
+        tight = TOLERANCES["oracle_tight"]
+        for n in range(1, 7):
             for g in enumerate_connected(n):
                 rho_p = spectral_radius_power(g).rho
                 rho_c = spectral_radius_charpoly(g).rho
-                assert abs(rho_p - rho_c) <= 1e-9, encode_fail(g, rho_p, rho_c)
+                assert abs(rho_p - rho_c) <= tight, encode_fail(g, rho_p, rho_c)
 
     def test_random_medium(self):
         rng = random.Random(1234)

@@ -48,7 +48,6 @@ def test_values_pinned():
         "oracle": 1e-9,
         "tight": 1e-6,
         "oracle_tight": 1e-12,
-        "power_step": 1e-12,
         "power_residual": 1e-9,
         "newton_step": 1e-14,
         "root_bracket": 1e-12,
