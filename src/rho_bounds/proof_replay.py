@@ -164,25 +164,15 @@ def row_slacks(g: Graph, first: int = 1) -> Iterator[list[int]]:
             yield slacks
 
 
-def replay_levels(g: Graph, first: int = 1) -> Iterator[ScalingCertificate]:
-    """Certificates at levels first..n, in order, from one degree ordering
-    (see ``row_slacks``).  The certificates are not checked; see
-    ``ScalingCertificate.violation``.
-    """
-    seq = DegreeSequence.from_degrees(map(len, g.neighbors))
-    phi(seq, first)  # validates the first level
-    for level, slacks in enumerate(row_slacks(g, first), start=first):
-        yield ScalingCertificate.at_level(seq, level, slacks, phi(seq, level))
-
-
 def row_sums_scaled(g: Graph, level: int) -> ScalingCertificate:
-    """The certificate at one level, asserted: the one-level view of
-    ``replay_levels``.
+    """The certificate at one level, asserted.
 
     Raises CertificateViolationError naming the first row with a negative
     slack.
     """
-    cert = next(replay_levels(g, level))
+    seq = DegreeSequence.from_degrees(map(len, g.neighbors))
+    value = phi(seq, level)  # validates the level
+    cert = ScalingCertificate.at_level(seq, level, next(row_slacks(g, level)), value)
     exc = cert.violation()
     if exc is not None:
         raise exc

@@ -369,11 +369,12 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
 
     ``upper`` must be an integer known to be >= the root.  Returns
     (root estimate, certified enclosure width, iterations).  A float Newton
-    sweep from above supplies the initial guess; the answer is then bracketed
-    and bisected with exact integer sign tests until the enclosure is at most
-    the 'root_enclosure' tolerance wide.
+    sweep from above supplies the initial guess: started above the largest
+    root it falls monotonically, so it stops when a step no longer moves it
+    down.  The answer is then bracketed, one 'root_enclosure' step to each
+    side of that point and wider as needed, and bisected with exact integer
+    sign tests until the enclosure is at most 'root_enclosure' wide.
     """
-    newton_tol, seed = TOLERANCES["newton_step"], TOLERANCES["root_bracket"]
     enclosure = TOLERANCES["root_enclosure"]
     n = len(coeffs) - 1
     chain = _derivative_chain(coeffs)
@@ -391,21 +392,21 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
             dp = dp * x + dcf[i]
         if dp <= 0.0:
             break
-        step = p / dp
-        x -= step
-        if abs(step) < newton_tol:
+        nxt = x - p / dp
+        if not nxt < x:
             break
+        x = nxt
 
-    hi = x + seed
-    margin = seed
+    hi = x + enclosure
+    margin = enclosure
     while not _at_or_above_root(chain, hi):
         hi += margin
         margin *= 8.0
-    lo = x - seed
+    lo = x - enclosure
     if lo <= 0.0:
         lo = 0.0
     else:
-        margin = seed
+        margin = enclosure
         while lo > 0.0 and _at_or_above_root(chain, lo):
             lo -= margin
             margin *= 8.0

@@ -114,36 +114,31 @@ def test_criterion_02_equality_iff_exhaustive(exhaustive_small, exhaustive_seven
 def test_criterion_03_phi_n_is_hong_shu_fang(
     exhaustive_small, exhaustive_seven, random_sequences
 ):
-    """phi at level n reproduces the Hong-Shu-Fang bound to <= 1 ulp."""
+    """phi at level n reproduces the Hong-Shu-Fang bound exactly."""
     for result in _all_exhaustive(exhaustive_small, exhaustive_seven):
         assert _violations(result, "dominance") == []
-    worst = 0.0
     for seq in random_sequences:
-        a = phi(seq, seq.n)
-        b = bound_hong_shu_fang(seq)
-        assert abs(a - b) <= math.ulp(max(abs(b), 1.0)), seq.degrees
-        worst = max(worst, abs(a - b))
+        assert phi(seq, seq.n) == bound_hong_shu_fang(seq), seq.degrees
     print(f"\nACCEPTANCE 3 phi_n identity: PASS (exhaustive n<=7 plus "
-          f"{len(random_sequences)} sequences, worst gap {worst})")
+          f"{len(random_sequences)} sequences, bit-identical)")
 
 
 def test_criterion_04_dominates_shu_wu(
     exhaustive_small, exhaustive_seven, random_sequences
 ):
-    """phi_l <= shu_wu_l + 1e-12 everywhere, strictly better on the example."""
+    """phi_l <= shu_wu_l everywhere, strictly better on the example."""
     for result in _all_exhaustive(exhaustive_small, exhaustive_seven):
         assert _violations(result, "dominance") == []
-    dominance_tol = TOLERANCES["dominance"]
     for seq in random_sequences:
         for level in range(1, seq.n + 1):
-            assert phi(seq, level) <= bound_shu_wu(seq, level) + dominance_tol
+            assert phi(seq, level) <= bound_shu_wu(seq, level)
     example = DegreeSequence.from_degrees([4, 3, 3, 2, 1, 1])
     improved = phi(example, 4)
     shu_wu = bound_shu_wu(example, 4)
     assert improved == 3.0
     assert abs(shu_wu - (1 + math.sqrt(33)) / 2) <= 1e-12
     assert improved < shu_wu - 0.37
-    print(f"\nACCEPTANCE 4 dominance: PASS (tol {dominance_tol}; example "
+    print(f"\nACCEPTANCE 4 dominance: PASS (exact; example "
           f"phi_4={improved} vs shu_wu_4={shu_wu:.10f})")
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from rho_bounds import (
     CampaignConfig,
     CHECKS,
     CSV_COLUMNS,
+    DegreeSequence,
     EqualityCertificate,
     Graph,
     GraphParseError,
@@ -57,6 +59,15 @@ class TestEnumerateCampaigns:
         gid, check, detail = result.violations[0]
         assert check == "equality"
         assert "predicted" in detail
+
+    def test_tol_moves_the_soundness_tight_count(self):
+        # soundness counts a graph tight within the equality tolerance, so
+        # --tol moves its count; at 1e-30 only bit-exact ties are left
+        counts = [
+            campaign(source="enumerate", n=5, checks=("soundness",), tol=tol)
+            .tight_instances["soundness"] for tol in (None, 1e-30)
+        ]
+        assert counts == [68, 52]
 
     def test_tol_leaves_fixed_tolerances_alone(self):
         # --tol overrides only soundness and equality; the other
@@ -250,6 +261,43 @@ class TestReplayCheck:
             "row 2 has slack -1 < 0", "row 1 has slack -1 < 0"]
 
 
+def _dominance(seq, **replace):
+    """The dominance check on a sequence's report with ``replace``d fields,
+    reading no tolerance."""
+    report = dataclasses.replace(bound_report(seq), **replace)
+    return harness._dominance(seq, report, {})
+
+
+class TestDominanceCheck:
+    """The floats of both sides round one integer excess each, so the
+    check compares them exactly."""
+
+    P4 = DegreeSequence.from_degrees((2, 2, 1, 1))
+
+    def test_shu_wu_one_ulp_below_phi(self):
+        report = bound_report(self.P4)
+        phi_3 = report.phis.values[2]
+        assert report.shu_wu[2] == phi_3  # level 3 ties
+        shu_wu = report.shu_wu[:2] + (math.nextafter(phi_3, -math.inf),) + report.shu_wu[3:]
+        details, _ = _dominance(self.P4, shu_wu=shu_wu)
+        assert details == [f"phi_3={phi_3!r} exceeds shu_wu_3={shu_wu[2]!r}"]
+
+    def test_hong_shu_fang_one_ulp_off_phi_n(self):
+        phi_n = bound_report(self.P4).phis.values[-1]
+        for off in (math.nextafter(phi_n, -math.inf), math.nextafter(phi_n, math.inf)):
+            details, _ = _dominance(self.P4, hong_shu_fang=off)
+            assert details == [f"phi_n={phi_n!r} != hong_shu_fang={off!r}"]
+
+    def test_largest_star_ties_at_level_two(self):
+        # n at the graph6 limit: phi_2 = shu_wu_2 = sqrt(n - 1), and every
+        # later Shu-Wu excess is larger
+        n = 258047
+        assert _dominance(DegreeSequence.from_degrees([n - 1] + [1] * (n - 1))) == ([], True)
+
+    def test_regular_is_not_tight(self):
+        assert _dominance(DegreeSequence.from_degrees((3,) * 6)) == ([], False)
+
+
 class TestSequenceMemo:
     """The per-chunk memo of the degree-sequence work changes no row, no
     violation and no tight count."""
@@ -262,7 +310,7 @@ class TestSequenceMemo:
 
     def test_sequence_messages_name_no_graph(self):
         # two labelings of the 4-path share one sequence; the star has its
-        # own.  A negative dominance tolerance makes every level a
+        # own.  A negative comparator tolerance makes every float step a
         # violation whose message the memo hands to both labelings.
         graphs = [
             Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
@@ -271,7 +319,7 @@ class TestSequenceMemo:
         ]
         ids = [encode_graph6(g) for g in graphs]
         assert len(set(ids)) == 3
-        tols = dict(harness.TOLERANCES, dominance=-1.0)
+        tols = dict(harness.TOLERANCES, comparator=-1.0)
         expected = [examine_graph_reference(g, CHECKS, tols) for g in graphs]
         for ident, (_, violations, _) in zip(ids, expected):
             assert violations and {gid for gid, _, _ in violations} == {ident}

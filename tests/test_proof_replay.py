@@ -20,7 +20,6 @@ from rho_bounds import (
     gen_join_dominating,
     gen_named,
     phi,
-    replay_levels,
     row_sums_scaled,
     spectral_radius_power,
 )
@@ -159,15 +158,17 @@ def _seeded_graphs():
 
 
 class TestReplayEngine:
-    """``replay_levels`` against the direct per-level loops in conftest."""
+    """``row_slacks`` and ``row_sums_scaled`` at every level against the
+    direct per-level loops in conftest."""
 
     def _check(self, g):
-        certs = list(replay_levels(g))
-        assert [c.level for c in certs] == list(range(1, g.n + 1))
-        for cert in certs:
-            level = cert.level
+        lists = list(row_slacks(g))
+        assert len(lists) == g.n
+        for level, slacks in enumerate(lists, start=1):
+            cert = row_sums_scaled(g, level)
+            assert cert.level == level
             value, x, row_sums = row_sums_scaled_per_level(g, level)
-            assert cert.slacks == row_slacks_per_level(g, level)
+            assert cert.slacks == tuple(slacks) == row_slacks_per_level(g, level)
             assert cert.phi == value and cert.x == x
             slack = 1e-12 * max(1.0, value)
             assert len(cert.row_sums) == len(row_sums) == g.n
@@ -180,8 +181,6 @@ class TestReplayEngine:
             d = cert.degrees[level - 1]
             for r, s, d_i in zip(cert.row_sums, cert.slacks, cert.degrees):
                 assert (abs(r - value) <= 1e-9) == (s == 0 and d_i >= d)
-            # the one-level view returns the same certificate
-            assert row_sums_scaled(g, level) == cert
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exhaustive(self, n):
@@ -200,7 +199,7 @@ class TestReplayEngine:
 
     def test_no_violation_at_default_tol(self):
         for g in _seeded_graphs():
-            assert all(c.violation() is None for c in replay_levels(g))
+            assert all(min(slacks) >= 0 for slacks in row_slacks(g))
 
     def test_repeated_degree_reuses_the_slacks(self):
         # degrees (3, 2, 2, 1, 1, 1): levels 3 and 5, 6 repeat their
@@ -211,9 +210,12 @@ class TestReplayEngine:
         assert [tuple(s) for s in row_slacks(g, 5)] == [tuple(lists[4])] * 2
 
     def test_negative_slack_is_a_violation(self):
-        certs = list(replay_levels(_DOUBLE_EDGE))
-        assert [c.slacks for c in certs] == [(0, 1, 2), (0, -1, 1), (-1, -2, 1)]
-        assert [c.violation().row if c.violation() else None for c in certs] == [None, 2, 1]
+        assert [tuple(s) for s in row_slacks(_DOUBLE_EDGE)] == [(0, 1, 2), (0, -1, 1), (-1, -2, 1)]
+        assert row_sums_scaled(_DOUBLE_EDGE, 1).slacks == (0, 1, 2)
+        for level, row in ((2, 2), (3, 1)):
+            with pytest.raises(CertificateViolationError) as err:
+                row_sums_scaled(_DOUBLE_EDGE, level)
+            assert (err.value.level, err.value.row) == (level, row)
 
 
 def _equality_graphs():
@@ -240,7 +242,8 @@ class TestExactEquality:
 
     @staticmethod
     def _zero_slack_levels(g):
-        return frozenset(c.level for c in replay_levels(g) if not any(c.slacks))
+        return frozenset(level for level, slacks in enumerate(row_slacks(g), start=1)
+                         if not any(slacks))
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_exhaustive(self, n):

@@ -27,7 +27,9 @@ from rho_bounds import spectral_oracle
 from rho_bounds.spectral_oracle import (
     CHARPOLY_MAX_N,
     FIELD_BITS,
+    _at_or_above_root,
     _cached_root,
+    _derivative_chain,
     _largest_eigenvalue,
     _ritz_coefficients,
     largest_real_root,
@@ -282,7 +284,7 @@ class TestRootCache:
 
     def test_cospectral_pair_keeps_its_own_degree(self):
         # one characteristic polynomial, maximum degrees 5 and 3; the
-        # bisection starts from the degree, so the iteration counts differ
+        # Newton sweep starts from the degree, so the iteration counts differ
         g5 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (2, 3)])
         g3 = Graph.from_edges(6, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3)])
         assert characteristic_polynomial(g5) == characteristic_polynomial(g3)
@@ -297,6 +299,24 @@ class TestRootCache:
     def test_bounded_and_private(self):
         assert _cached_root.cache_info().maxsize is not None
         assert not hasattr(largest_real_root, "cache_info")
+
+
+class TestRootIsolation:
+    def test_enclosure_certified_through_n6(self):
+        # every distinct (charpoly, d1) key: the root lies within width/2 of
+        # the estimate, each side taken one ulp outward for the rounded
+        # midpoint, and the width is at most the enclosure tolerance
+        keys = {
+            (characteristic_polynomial(g), max(map(len, g.neighbors)))
+            for n in range(1, 7) for g in enumerate_connected(n)
+        }
+        for coeffs, d1 in keys:
+            rho, width, _ = largest_real_root(coeffs, d1)
+            chain = _derivative_chain(coeffs)
+            assert width <= TOLERANCES["root_enclosure"]
+            assert _at_or_above_root(chain, math.nextafter(rho + width / 2, math.inf))
+            if rho != 0.0:
+                assert not _at_or_above_root(chain, math.nextafter(rho - width / 2, -math.inf))
 
 
 class TestCharpolyRadius:

@@ -1,5 +1,6 @@
 """The tolerance table is the only place a tolerance is written down."""
 
+import ast
 import io
 import tokenize
 from pathlib import Path
@@ -33,6 +34,29 @@ def test_no_exponent_literal_outside_the_table():
     assert found == []
 
 
+def _string_literals(path: Path) -> set[str]:
+    """The value of every plain string literal in a module."""
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    return {
+        ast.literal_eval(tok.string) for tok in tokens
+        if tok.type == tokenize.STRING and tok.string[0] in "'\""
+    }
+
+
+def test_every_entry_is_read_by_name():
+    # a tolerance no module names outside the table decides nothing
+    names = set().union(*(
+        _string_literals(path) for path in PACKAGE.glob("*.py") if path.name != "tolerances.py"
+    ))
+    assert sorted(TOLERANCES.keys() - names) == []
+
+
+def test_the_scan_sees_string_literals(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('a = tols["oracle"] + t[\'equality\']  # "dominance"\nb = f"{x}"\n')
+    assert _string_literals(path) == {"oracle", "equality"}
+
+
 def test_the_scan_sees_exponent_literals(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text('x = 1e-9 + 2E5 + 0xE + 10**6  # 3e-3\ns = "4e-4"\n')
@@ -43,14 +67,10 @@ def test_values_pinned():
     assert TOLERANCES == {
         "soundness": 1e-9,
         "equality": 1e-6,
-        "dominance": 1e-12,
         "comparator": 1e-9,
         "oracle": 1e-9,
-        "tight": 1e-6,
         "oracle_tight": 1e-12,
         "power_residual": 1e-9,
-        "newton_step": 1e-14,
-        "root_bracket": 1e-12,
         "root_enclosure": 1e-13,
     }
     assert OVERRIDDEN_BY_TOL == ("soundness", "equality")
