@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bounds import GREATER, LESS, BoundReport, bound_report, compare_step
-from .equality import REGULAR, tight_levels
+from .equality import tight_levels
 from .graph_core import (
     DegreeSequence,
     Graph,
@@ -133,25 +133,20 @@ def _unimodality(seq, report, tols):
 
 
 def _replay(g, seq, report, rho, tols):
-    cert = report.cert
-    predicted = cert.predicted_tight_levels if cert is not None else ()
     degrees = seq.degrees
     tol = tols["soundness"]
     details = []
-    tight = False
+    flat = set()
     last = None
     for level, slacks in enumerate(row_slacks(g), start=1):
         if slacks is not last:
             # a new degree: a new excess and new slacks (a repeated degree
             # repeats both, and phi, and so every verdict below)
             last = slacks
-            d = degrees[level - 1]
             value = report.phis.values[level - 1]
-            excess = seq.prefix[level - 1] - (level - 1) * d
+            excess = seq.prefix[level - 1] - (level - 1) * degrees[level - 1]
             low = min(slacks)
-            if low < 0:
-                reached = flat = False
-            else:
+            if low >= 0:
                 # rho <= max row sum tests the oracle, not the certificate,
                 # so it stays a float comparison: max(rows) + tol >= rho
                 # exactly when some row has row + tol >= rho (float + is
@@ -162,32 +157,24 @@ def _replay(g, seq, report, rho, tols):
                     rho <= scaled_row_sum(*args, slack, row) + tol
                     for row, slack in enumerate(slacks, start=1)
                 )
-                # a row meets phi exactly when its slack is zero and
-                # d_i >= d; every row does exactly when rho(B) = phi here
-                flat = not any(slacks) and degrees[-1] == d
+                # a row meets phi exactly when its slack is zero; the level
+                # is flat (rho(B) = phi) when every row does
+                zero = not any(slacks)
         if low < 0:
             details.append(str(ScalingCertificate.at_level(seq, level, slacks, value).violation()))
             continue
         if not reached:
             top = ScalingCertificate.at_level(seq, level, slacks, value).max_row_sum
             details.append(f"rho={rho!r} exceeds max scaled row sum {top!r} at level {level}")
-        tight = tight or flat
-        if flat and cert is not None and level not in predicted:
-            details.append(
-                f"level {level} has every scaled row sum at phi {value!r} but "
-                f"is not predicted tight ({cert.kind})"
-            )
-        if level in predicted and not flat:
-            # Regular: every row; Dominating (level >= t): rows from level on
-            first = 1 if cert.kind == REGULAR else level
-            rows = ScalingCertificate.at_level(seq, level, slacks, value).row_sums
-            for i in range(first, seq.n + 1):
-                if slacks[i - 1] or degrees[i - 1] < d:
-                    details.append(
-                        f"predicted-tight level {level} ({cert.kind}) has "
-                        f"row {i} sum {rows[i - 1]!r} != phi {value!r}"
-                    )
-    return details, tight
+        if zero:
+            flat.add(level)
+    cert = report.cert
+    if cert is not None and flat != cert.predicted_tight_levels:
+        details.append(
+            f"predicted tight levels {sorted(cert.predicted_tight_levels)} ({cert.kind}) "
+            f"but the zero-slack levels are {sorted(flat)}"
+        )
+    return details, bool(flat)
 
 
 def _oracle(g, seq, report, rho, tols):

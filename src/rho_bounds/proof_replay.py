@@ -21,8 +21,9 @@ On a prefix row it is sum_{k in P - N[i]} (d_k - d), and row i of B sums to
 phi - slack_i / ((phi + 1) x_i).  Past the prefix it is
 (d - d_i) + sum_{k in P - N(i)} (d_k - d), and the row sums to
 phi - ((d - d_i) phi + slack_i) / (phi + 1).  So a nonnegative slack proves
-its row is at most phi, and the row meets phi exactly when its slack is zero
-and d_i >= d.  Both sums run over nonnegative terms: a negative slack can
+its row is at most phi, and a row meets phi exactly when its slack is zero:
+past the prefix d - d_i >= 0 is one of the slack's terms, so a zero slack
+forces d_i = d.  Both sums run over nonnegative terms: a negative slack can
 only come from faulty bookkeeping, and it is the certificate's one failure.
 
 The slacks are the verdict, O(n) per level and O(n^2 + m) per graph.  A level

@@ -42,17 +42,15 @@ SOLVE_FACTOR = 100.0
 class SpectralResult:
     """Largest adjacency eigenvalue with convergence diagnostics.
 
-    For the Lanczos method (``method`` "power") ``iterations`` counts
-    products with A and ``residual`` is |A*y - rho*y|_inf / |y|_2 at the
-    accepted Ritz vector y; for the charpoly method they are the root
-    isolation's iterations and the width of the certified enclosure of the
-    root.
+    For the Lanczos method ``iterations`` counts products with A and
+    ``residual`` is |A*y - rho*y|_inf / |y|_2 at the accepted Ritz vector y;
+    for the charpoly method they are the root isolation's iterations and the
+    width of the certified enclosure of the root.
     """
 
     rho: float
     iterations: int
     residual: float
-    method: str
 
 
 class ConvergenceError(RuntimeError):
@@ -182,7 +180,7 @@ def _ritz_coefficients(alphas, beta2, betas, theta: float) -> list[float]:
 
 def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> SpectralResult:
     """Largest adjacency eigenvalue by Lanczos from the all-ones vector (the
-    name predates Lanczos; the result's method stays "power").
+    name predates Lanczos).
 
     Step k multiplies the Lanczos vector q_k by A and appends alpha_k and
     beta_k to the tridiagonal T_k.  With theta the largest eigenvalue of
@@ -282,7 +280,7 @@ def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> 
         rho = math.fsum(map(mul, y, ay)) / yy
         residual = max([abs(ai - rho * yi) for ai, yi in zip(ay, y)]) / math.sqrt(yy)
         if residual <= tol:
-            return SpectralResult(rho, products, residual, "power")
+            return SpectralResult(rho, products, residual)
         theta, start = rho, y
 
 
@@ -367,13 +365,15 @@ def _at_or_above_root(chain: list[list[int]], x: float) -> bool:
 def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float, int]:
     """Largest real root of a monic integer polynomial with all-real roots.
 
-    ``upper`` must be an integer known to be >= the root.  Returns
-    (root estimate, certified enclosure width, iterations).  A float Newton
-    sweep from above supplies the initial guess: started above the largest
-    root it falls monotonically, so it stops when a step no longer moves it
-    down.  The answer is then bracketed, one 'root_enclosure' step to each
-    side of that point and wider as needed, and bisected with exact integer
-    sign tests until the enclosure is at most 'root_enclosure' wide.
+    The caller must know the root to lie in [0, ``upper``], ``upper`` an
+    integer.  Returns (lo, hi, iterations) with lo < root <= hi certified by
+    exact sign tests and hi - lo at most 'root_enclosure'; a root at 0 gives
+    (0.0, 0.0).  A float Newton sweep from above supplies the initial guess:
+    started above the largest root it falls monotonically, so it stops when
+    a step no longer moves it down.  The bracket is one 'root_enclosure' to
+    each side of that point; a side that fails its sign test falls back to
+    the proven end (``upper`` above, 0 below).  Bisection with exact integer
+    sign tests then narrows it to at most 'root_enclosure'.
     """
     enclosure = TOLERANCES["root_enclosure"]
     n = len(coeffs) - 1
@@ -398,22 +398,13 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
         x = nxt
 
     hi = x + enclosure
-    margin = enclosure
-    while not _at_or_above_root(chain, hi):
-        hi += margin
-        margin *= 8.0
+    if not _at_or_above_root(chain, hi):
+        hi = float(upper)
     lo = x - enclosure
-    if lo <= 0.0:
+    if lo <= 0.0 or _at_or_above_root(chain, lo):
         lo = 0.0
-    else:
-        margin = enclosure
-        while lo > 0.0 and _at_or_above_root(chain, lo):
-            lo -= margin
-            margin *= 8.0
-        if lo < 0.0:
-            lo = 0.0
-    if lo == 0.0 and _at_or_above_root(chain, 0.0):
-        return 0.0, 0.0, iterations
+        if _at_or_above_root(chain, lo):
+            return 0.0, 0.0, iterations
     while hi - lo > enclosure:
         iterations += 1
         mid = 0.5 * (lo + hi)
@@ -423,7 +414,7 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi), hi - lo, iterations
+    return lo, hi, iterations
 
 
 # The characteristic polynomial is a graph invariant and the root depends
@@ -436,14 +427,16 @@ _cached_root = functools.lru_cache(maxsize=1 << 14)(largest_real_root)
 def spectral_radius_charpoly(g: Graph) -> SpectralResult:
     """Exact-charpoly spectral radius for graphs with at most 12 vertices.
 
-    The largest root is bracketed inside [average degree, maximum degree]
-    and certified to within the 'root_enclosure' tolerance by integer sign
-    tests, so the result is independent of the power method in both
-    algorithm and arithmetic.  The root isolation is cached per process
-    under the exact key (characteristic polynomial, maximum degree); the
-    polynomial itself is computed for every graph.
+    The largest root lies in [0, maximum degree]; ``largest_real_root``
+    certifies its ends by integer sign tests, falling back to these proven
+    ends where a bracket around Newton's point fails, so the result is
+    independent of the power method in both algorithm and arithmetic.
+    ``rho`` is the midpoint of the certified ends and ``residual`` their
+    distance.  The root isolation is cached per process under the exact key
+    (characteristic polynomial, maximum degree); the polynomial itself is
+    computed for every graph.
     """
     coeffs = characteristic_polynomial(g)
     d1 = max((len(nb) for nb in g.neighbors), default=0)
-    rho, width, iterations = _cached_root(coeffs, d1)
-    return SpectralResult(rho, iterations, width, "charpoly")
+    lo, hi, iterations = _cached_root(coeffs, d1)
+    return SpectralResult(0.5 * (lo + hi), iterations, hi - lo)

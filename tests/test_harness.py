@@ -233,9 +233,7 @@ class TestReplayCheck:
         details, tight = _replay(gen_named("cycle", 4), EqualityCertificate(NONE, None, frozenset()))
         assert tight
         assert details == [
-            f"level {level} has every scaled row sum at phi 2.0 but is not "
-            f"predicted tight (None)" for level in range(1, 5)
-        ]
+            "predicted tight levels [] (None) but the zero-slack levels are [1, 2, 3, 4]"]
 
     def test_predicted_level_not_flat(self):
         # the 4-path (2, 2, 1, 1) claimed regular: rows 3 and 4 sit below
@@ -243,10 +241,7 @@ class TestReplayCheck:
         details, tight = _replay(
             gen_named("path", 4), EqualityCertificate(REGULAR, None, frozenset({1})))
         assert not tight
-        assert details == [
-            "predicted-tight level 1 (Regular) has row 3 sum 1.0 != phi 2.0",
-            "predicted-tight level 1 (Regular) has row 4 sum 1.0 != phi 2.0",
-        ]
+        assert details == ["predicted tight levels [1] (Regular) but the zero-slack levels are []"]
 
     def test_rho_above_every_row(self):
         details, _ = _replay(gen_named("complete", 3), rho=2.5)
@@ -259,6 +254,17 @@ class TestReplayCheck:
         assert not tight
         assert [d.split(" (")[0] for d in details] == [
             "row 2 has slack -1 < 0", "row 1 has slack -1 < 0"]
+
+    def test_negative_slack_under_forged_regular_certificate(self):
+        # a level with a negative slack is never flat, so the one set
+        # message follows the two slack violations
+        cert = EqualityCertificate(REGULAR, None, frozenset({1, 2, 3}))
+        details, tight = _replay(Graph(3, ((1, 1, 2), (0, 0), (0,))), cert, rho=2.0)
+        assert not tight
+        assert [d.split(" (")[0] for d in details[:2]] == [
+            "row 2 has slack -1 < 0", "row 1 has slack -1 < 0"]
+        assert details[2:] == [
+            "predicted tight levels [1, 2, 3] (Regular) but the zero-slack levels are []"]
 
 
 def _dominance(seq, **replace):

@@ -42,7 +42,6 @@ BOTH_METHODS = (spectral_radius_power, spectral_radius_charpoly)
 class TestPowerIteration:
     def test_k4(self):
         res = spectral_radius_power(gen_named("complete", 4))
-        assert res.method == "power"
         assert abs(res.rho - 3.0) <= 1e-10
 
     def test_star(self):
@@ -258,14 +257,14 @@ class TestPackedCharpoly:
 
 
 def _charpoly_outcome(res):
-    return res.rho.hex(), res.iterations, res.residual.hex(), res.method
+    return res.rho.hex(), res.iterations, res.residual.hex()
 
 
 def _uncached_outcome(g):
     coeffs = characteristic_polynomial(g)
     d1 = max((len(nb) for nb in g.neighbors), default=0)
-    rho, width, iterations = largest_real_root(coeffs, d1)
-    return rho.hex(), iterations, width.hex(), "charpoly"
+    lo, hi, iterations = largest_real_root(coeffs, d1)
+    return (0.5 * (lo + hi)).hex(), iterations, (hi - lo).hex()
 
 
 class TestRootCache:
@@ -301,28 +300,56 @@ class TestRootCache:
         assert not hasattr(largest_real_root, "cache_info")
 
 
+def _root_keys():
+    """Every distinct (charpoly, d1) key with n <= 6, and the keys of seeded
+    G(n, p) draws with n = 7..12."""
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    rng = random.Random(15)
+    graphs += [
+        random_connected_graph(rng, rng.randint(7, 12), rng.uniform(0.2, 0.8))
+        for _ in range(200)
+    ]
+    return {(characteristic_polynomial(g), max(map(len, g.neighbors))) for g in graphs}
+
+
+def _certified(coeffs, lo, hi):
+    """lo < root <= hi by exact sign tests, or lo = hi = 0 for a root at 0,
+    and hi - lo within the enclosure tolerance."""
+    chain = _derivative_chain(coeffs)
+    below = (lo, hi) == (0.0, 0.0) or not _at_or_above_root(chain, lo)
+    return below and _at_or_above_root(chain, hi) and hi - lo <= TOLERANCES["root_enclosure"]
+
+
 class TestRootIsolation:
     def test_enclosure_certified_through_n6(self):
-        # every distinct (charpoly, d1) key: the root lies within width/2 of
-        # the estimate, each side taken one ulp outward for the rounded
-        # midpoint, and the width is at most the enclosure tolerance
-        keys = {
-            (characteristic_polynomial(g), max(map(len, g.neighbors)))
-            for n in range(1, 7) for g in enumerate_connected(n)
-        }
-        for coeffs, d1 in keys:
-            rho, width, _ = largest_real_root(coeffs, d1)
-            chain = _derivative_chain(coeffs)
-            assert width <= TOLERANCES["root_enclosure"]
-            assert _at_or_above_root(chain, math.nextafter(rho + width / 2, math.inf))
-            if rho != 0.0:
-                assert not _at_or_above_root(chain, math.nextafter(rho - width / 2, -math.inf))
+        # the returned ends themselves are certified, with no widening
+        for coeffs, d1 in _root_keys():
+            lo, hi, _ = largest_real_root(coeffs, d1)
+            assert _certified(coeffs, lo, hi), (coeffs, d1, lo, hi)
+
+    def test_lower_fallback_certified(self, monkeypatch):
+        # Newton stalls above the eightfold root of (x-1)^8, so the point
+        # one enclosure below it is still above the root, and the bracket
+        # falls back to the proven lower end 0
+        coeffs = tuple(math.comb(8, k) * (-1) ** (8 - k) for k in range(9))
+        tested = []
+        exact = spectral_oracle._at_or_above_root
+
+        def record(chain, x):
+            tested.append(x)
+            return exact(chain, x)
+
+        monkeypatch.setattr(spectral_oracle, "_at_or_above_root", record)
+        lo, hi, _ = largest_real_root(coeffs, 2)
+        assert tested[2] == 0.0
+        assert tested[1] > 1.0
+        assert _certified(coeffs, lo, hi)
+        assert lo < 1.0 <= hi
 
 
 class TestCharpolyRadius:
     def test_k3(self):
         res = spectral_radius_charpoly(gen_named("complete", 3))
-        assert res.method == "charpoly"
         assert abs(res.rho - 2.0) <= 1e-12
 
     def test_p3(self):
