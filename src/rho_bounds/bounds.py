@@ -92,6 +92,45 @@ def bound_max_degree(seq: DegreeSequence) -> float:
     return float(seq.degrees[0])
 
 
+def phi_surd(seq: DegreeSequence, level: int) -> tuple[int, int]:
+    """phi at a level as the exact surd pair (a, b), phi = (a + sqrt(b))/2."""
+    d = seq.degrees[level - 1]
+    excess = seq.prefix[level - 1] - (level - 1) * d
+    return d - 1, (d + 1) * (d + 1) + 4 * excess
+
+
+def compare_half_surds(a1: int, b1: int, a2: int, b2: int) -> int:
+    """Exact sign of (a1 + sqrt(b1))/2 - (a2 + sqrt(b2))/2 for integers.
+
+    Requires b1, b2 >= 0.  Returns 1, 0, or -1.  A dyadic x = p/q compares
+    with (a + sqrt(b))/2 as ``compare_half_surds(2p, 0, q*a, q*q*b)``.
+    """
+    if b1 < 0 or b2 < 0:
+        raise ValueError("radicands must be nonnegative")
+    d = a1 - a2
+    # sign of d + sqrt(b1) - sqrt(b2)
+    if d >= 0:
+        # d + sqrt(b1) >= 0: compare squares of (d + sqrt(b1)) and sqrt(b2),
+        # i.e. the sign of e + 2d*sqrt(b1) with e below
+        e = d * d + b1 - b2
+        if e >= 0:
+            return 0 if (e == 0 and d * d * b1 == 0) else 1
+        # e < 0: sign of 2d*sqrt(b1) - |e|
+        lhs = 4 * d * d * b1
+        rhs = e * e
+        return 1 if lhs > rhs else (0 if lhs == rhs else -1)
+    # d < 0
+    if b1 <= d * d:
+        # d + sqrt(b1) <= 0 <= sqrt(b2)
+        return 0 if (b1 == d * d and b2 == 0) else -1
+    e = d * d + b1 - b2
+    if e <= 0:
+        return -1
+    lhs = e * e
+    rhs = 4 * d * d * b1
+    return 1 if lhs > rhs else (0 if lhs == rhs else -1)
+
+
 def compare_step(seq: DegreeSequence, s: int) -> int:
     """Exact ordering of phi_s versus phi_{s+1}: GREATER, EQUAL, or LESS.
 

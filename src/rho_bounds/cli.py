@@ -33,7 +33,6 @@ from .graph_core import (
 from .harness import CSV_COLUMNS, CHECKS, CampaignConfig, report_row, run_campaign
 from .proof_replay import CertificateViolationError, row_sums_scaled
 from .spectral_oracle import ConvergenceError, spectral_radius_power
-from .tolerances import OVERRIDDEN_BY_TOL, TOLERANCES
 
 def _read_graph(args) -> Graph:
     """The graph in the first record of ``args.input``; the bounds assume a
@@ -164,7 +163,6 @@ def cmd_verify(args) -> int:
         n=args.n,
         path=args.input,
         checks=checks,
-        tol=args.tol,
         jobs=args.jobs,
     )
     report = _CsvReport(sys.stdout) if args.output == "csv" else _JsonReport(sys.stdout)
@@ -245,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("graph6", "edgelist"))
     p_verify.add_argument("--checks", default="all",
                           help=f"comma list from {','.join(CHECKS)} (default all)")
-    p_verify.add_argument("--tol", type=float, default=None,
-                          help="override the tolerances " + ", ".join(
-                              f"{name} (default {TOLERANCES[name]:g})"
-                              for name in OVERRIDDEN_BY_TOL))
     p_verify.add_argument("--output", default="csv", choices=("csv", "json"))
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="worker processes (default 1)")

@@ -3,8 +3,10 @@
 For a connected graph, phi_l equals the spectral radius iff the graph is
 regular or there is a t <= l with the top t-1 degrees equal to n-1 and the
 remaining degrees all equal.  Both conditions are pure integer tests on the
-degree sequence, so classification is exact; the numeric tight set exists
-only to cross-validate it against the eigenvalue oracle.
+degree sequence, so classification is exact.  The campaign's equality
+check tests a prediction against certified ends of the spectral radius;
+``tight_levels``, the float tight set at a given tolerance, is for callers
+that hold only a float estimate of rho.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph_core import DegreeSequence
-from .tolerances import TOLERANCES
 
 REGULAR = "Regular"
 DOMINATING = "Dominating"
@@ -67,9 +68,7 @@ def _check_dominating(seq: DegreeSequence, cert: EqualityCertificate) -> None:
     )
 
 
-def tight_levels(
-    phi_values: Iterable[float], rho: float, tol: float = TOLERANCES["equality"]
-) -> frozenset[int]:
+def tight_levels(phi_values: Iterable[float], rho: float, tol: float = 0.0) -> frozenset[int]:
     """Levels whose phi value is within ``tol`` of ``rho``."""
     return frozenset(
         level for level, value in enumerate(phi_values, start=1)

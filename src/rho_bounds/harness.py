@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
 
-from .bounds import GREATER, LESS, BoundReport, bound_report, compare_step
-from .equality import tight_levels
+from .bounds import (
+    GREATER, LESS, BoundReport, bound_report, compare_half_surds, compare_step, phi_surd,
+)
 from .graph_core import (
     DegreeSequence,
     Graph,
@@ -32,9 +32,9 @@ from .graph_core import (
     parse_graph6,
     read_input,
 )
-from .proof_replay import ScalingCertificate, row_slacks, scaled_row_sum
+from .proof_replay import ScalingCertificate, row_slacks
 from .spectral_oracle import CHARPOLY_MAX_N, spectral_radius_charpoly, spectral_radius_power
-from .tolerances import OVERRIDDEN_BY_TOL, TOLERANCES
+from .tolerances import TOLERANCES
 
 CSV_COLUMNS = (
     "id", "n", "m", "rho", "phi_min", "pivot", "phi_n", "hong_shu_fang",
@@ -49,23 +49,36 @@ _FILE_CHUNK = 5000
 # ---------------------------------------------------------------------------
 # checks: each returns (violation details, whether the graph counts as a
 # tight instance).  A graph check takes the graph, its degree sequence, the
-# sequence's bound report, the graph's rho and the tolerance table; a
-# sequence check takes only the sequence, its report and the tolerances, so
-# its details never name the graph and one result serves every graph with
-# that sequence.
+# sequence's bound report and the graph's Lanczos SpectralResult; a sequence
+# check takes only the sequence and its report, so its details never name
+# the graph and one result serves every graph with that sequence.  The
+# graph checks decide from the certified ends lo <= rho <= hi, each a dyadic
+# compared exactly with a half-surd phi_l, and read no tolerance.
 # ---------------------------------------------------------------------------
 
-def _soundness(g, seq, report, rho, tols):
-    values = report.phis.values
-    vmin = min(values)
-    details = []
-    if rho > vmin + tols["soundness"]:
-        level = values.index(vmin) + 1
-        details.append(f"rho={rho!r} exceeds phi_{level}={vmin!r} by {rho - vmin!r}")
-    return details, abs(rho - vmin) <= tols["equality"]
+def _end_vs_phi(x: float, surd: tuple[int, int]) -> int:
+    """Exact sign of x - phi for a float x and phi = (a + sqrt(b))/2."""
+    p, q = x.as_integer_ratio()
+    a, b = surd
+    return compare_half_surds(2 * p, 0, q * a, q * q * b)
 
 
-def _dominance(seq, report, tols):
+def _soundness(g, seq, report, spec):
+    # every slack zero at a level means rho = phi_l (Perron-Frobenius)
+    level = min(report.phis.argmin_levels)
+    surd = phi_surd(seq, level)
+    vmin = report.phis.minimum
+    if _end_vs_phi(spec.hi, surd) < 0:
+        return [], False
+    if _end_vs_phi(spec.lo, surd) > 0:
+        return [f"rho >= {spec.lo!r} exceeds phi_{level}={vmin!r}"], False
+    if any(next(row_slacks(g, level))):
+        return [f"undecided: [{spec.lo!r}, {spec.hi!r}] holds phi_{level}={vmin!r} "
+                f"and level {level} has a nonzero slack"], False
+    return [], True
+
+
+def _dominance(seq, report):
     # phi_l and shu_wu_l (and phi_n and hong_shu_fang) are one monotone
     # bounds._prefix_bound of one d and an integer excess each, so the
     # floats are ordered as the excesses are; the radicand is below
@@ -88,26 +101,46 @@ def _dominance(seq, report, tols):
     return details, tight
 
 
-def _equality(g, seq, report, rho, tols):
+def _equality(g, seq, report, spec):
+    # a predicted level's phi lies in [lo, hi], any other level's above hi.
+    # An unpredicted phi_l at most hi is wrong when rho = phi_l is proved
+    # (lo >= phi_l, or every slack at the level zero, as in soundness) and
+    # undecided otherwise.  With nothing predicted the minimum is the one to
+    # test, and a repeated degree repeats phi and the slacks, so the verdict
     cert = report.cert
     if cert is None:
         return [], False
-    details = []
-    numeric = tight_levels(report.phis.values, rho, tols["equality"])
-    if numeric != cert.predicted_tight_levels:
-        details.append(
-            f"predicted {sorted(cert.predicted_tight_levels)} "
-            f"({cert.kind}, t={cert.t}) but numeric tight set is "
-            f"{sorted(numeric)} at rho={rho!r}"
-        )
-    return details, bool(cert.predicted_tight_levels)
+    predicted = cert.predicted_tight_levels
+    levels = range(1, seq.n + 1) if predicted else (min(report.phis.argmin_levels),)
+    wrong, undecided = [], []
+    last = None
+    for level in levels:
+        key = seq.degrees[level - 1], level in predicted
+        if key != last:
+            last, surd = key, phi_surd(seq, level)
+            above = _end_vs_phi(spec.hi, surd) < 0
+            if key[1]:
+                verdict = wrong if above or _end_vs_phi(spec.lo, surd) > 0 else None
+            else:
+                verdict = (None if above else wrong if _end_vs_phi(spec.lo, surd) >= 0
+                           or not any(next(row_slacks(g, level))) else undecided)
+        if verdict is not None:
+            verdict.append(level)
+    enclosure = f"[{spec.lo!r}, {spec.hi!r}]"
+    details = [
+        f"predicted {sorted(predicted)} ({cert.kind}, t={cert.t}) but "
+        f"{enclosure} disagrees at levels {wrong}"
+    ] if wrong else []
+    if undecided:
+        details.append(f"undecided: {enclosure} holds phi_l at unpredicted levels {undecided}")
+    return details, bool(predicted)
 
 
-def _unimodality(seq, report, tols):
+def _unimodality(seq, report):
     details = []
     phis = report.phis
     values = phis.values
-    tol = tols["comparator"]
+    tol = TOLERANCES["comparator"]
     seen_less = False
     for s in range(1, seq.n):
         ordering = compare_step(seq, s)
@@ -132,41 +165,23 @@ def _unimodality(seq, report, tols):
     return details, phis.pivot is None  # counts pivot-fallback inputs
 
 
-def _replay(g, seq, report, rho, tols):
-    degrees = seq.degrees
-    tol = tols["soundness"]
+def _replay(g, seq, report, spec):
     details = []
     flat = set()
     last = None
     for level, slacks in enumerate(row_slacks(g), start=1):
         if slacks is not last:
-            # a new degree: a new excess and new slacks (a repeated degree
-            # repeats both, and phi, and so every verdict below)
+            # a new degree: new slacks (a repeated degree repeats them, and
+            # phi, and so both verdicts below)
             last = slacks
-            value = report.phis.values[level - 1]
-            excess = seq.prefix[level - 1] - (level - 1) * degrees[level - 1]
             low = min(slacks)
-            if low >= 0:
-                # rho <= max row sum tests the oracle, not the certificate,
-                # so it stays a float comparison: max(rows) + tol >= rho
-                # exactly when some row has row + tol >= rho (float + is
-                # monotone), so the rows are tried one at a time, from one
-                # of least slack
-                args = degrees, level, value, excess
-                reached = rho <= scaled_row_sum(*args, low, slacks.index(low) + 1) + tol or any(
-                    rho <= scaled_row_sum(*args, slack, row) + tol
-                    for row, slack in enumerate(slacks, start=1)
-                )
-                # a row meets phi exactly when its slack is zero; the level
-                # is flat (rho(B) = phi) when every row does
-                zero = not any(slacks)
+            # a row meets phi exactly when its slack is zero; the level is
+            # flat (rho(B) = phi) when every row does
+            zero = not any(slacks)
         if low < 0:
+            value = report.phis.values[level - 1]
             details.append(str(ScalingCertificate.at_level(seq, level, slacks, value).violation()))
-            continue
-        if not reached:
-            top = ScalingCertificate.at_level(seq, level, slacks, value).max_row_sum
-            details.append(f"rho={rho!r} exceeds max scaled row sum {top!r} at level {level}")
-        if zero:
+        elif zero:
             flat.add(level)
     cert = report.cert
     if cert is not None and flat != cert.predicted_tight_levels:
@@ -177,20 +192,21 @@ def _replay(g, seq, report, rho, tols):
     return details, bool(flat)
 
 
-def _oracle(g, seq, report, rho, tols):
+def _oracle(g, seq, report, spec):
     if seq.n > CHARPOLY_MAX_N:
         return [], False
     details = []
-    tol = tols["oracle"]
     cp = spectral_radius_charpoly(g)
-    gap = abs(cp.rho - rho)
-    if gap > tol:
-        details.append(f"power {rho!r} vs charpoly {cp.rho!r} differ by {gap!r}")
-    avg = 2 * seq.m / seq.n
+    meet = cp.lo <= spec.hi and spec.lo <= cp.hi
+    if not meet:
+        details.append(f"Lanczos [{spec.lo!r}, {spec.hi!r}] and charpoly "
+                       f"[{cp.lo!r}, {cp.hi!r}] are disjoint")
+    # [2m/n, d_1] meets [lo, hi]: 2m/n <= hi = p/q and lo <= d_1, exactly
+    p, q = spec.hi.as_integer_ratio()
     d1 = seq.degrees[0]
-    if rho < avg - tol or rho > d1 + tol:
-        details.append(f"rho={rho!r} outside bracket [{avg!r}, {d1}]")
-    return details, gap <= tols["oracle_tight"]
+    if seq.n * p < 2 * seq.m * q or spec.lo > d1:
+        details.append(f"[{spec.lo!r}, {spec.hi!r}] misses [{2 * seq.m / seq.n!r}, {d1}]")
+    return details, meet
 
 
 #: Check names in canonical (report) order.  'oracle' cross-validates the
@@ -226,17 +242,12 @@ def report_row(ident: str, seq: DegreeSequence, report: BoundReport, rho: float 
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """What to verify: source, checks, tolerances, and parallelism.
-
-    ``tol`` of None means the defaults in ``TOLERANCES``; a given value
-    overrides the entries named in ``OVERRIDDEN_BY_TOL``.
-    """
+    """What to verify: source, checks, and parallelism."""
 
     source: str                       # 'enumerate' | 'graph6' | 'edgelist'
     n: int | None = None
     path: str | None = None
     checks: tuple[str, ...] = CHECKS
-    tol: float | None = None
     jobs: int = 1
 
 
@@ -266,10 +277,6 @@ def validate_config(cfg: CampaignConfig) -> None:
     repeated = sorted({c for c in cfg.checks if cfg.checks.count(c) > 1})
     if repeated:
         raise ValueError(f"checks given more than once: {repeated}")
-    if cfg.tol is not None and not math.isfinite(cfg.tol):
-        raise ValueError(f"tol must be finite, got {cfg.tol}")
-    if cfg.tol is not None and cfg.tol <= 0:
-        raise ValueError(f"tol must be positive, got {cfg.tol}")
     if cfg.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
     if cfg.source == "enumerate":
@@ -280,23 +287,23 @@ def validate_config(cfg: CampaignConfig) -> None:
 _SEEN = object()
 
 
-def _sequence_entry(degrees: tuple[int, ...], checks: tuple[str, ...], tols: dict) -> tuple:
+def _sequence_entry(degrees: tuple[int, ...], checks: tuple[str, ...]) -> tuple:
     """The part of every check that depends only on the degree sequence:
     (seq, report, {sequence check name: (details, tight)})."""
     seq = DegreeSequence.from_degrees(degrees)
     report = bound_report(seq)
     results = {
-        name: check(seq, report, tols)
+        name: check(seq, report)
         for name, check in _SEQUENCE_CHECKS.items() if name in checks
     }
     return seq, report, results
 
 
-def _examine_graph(g: Graph, checks: tuple[str, ...], tols: dict, memo: dict):
+def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict):
     """Run the enabled checks (canonical order) on one connected graph.
 
     ``memo`` maps sorted degree tuples to ``_sequence_entry`` results for
-    one chunk, whose checks and tolerances are fixed.  A sequence's first
+    one chunk, whose checks are fixed.  A sequence's first
     sighting stores only ``_SEEN``, and its second the entry, so a corpus
     of distinct sequences holds no reports.  Returns (row, violations,
     names of checks tight here).
@@ -304,23 +311,23 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], tols: dict, memo: dict):
     degrees = tuple(sorted(map(len, g.neighbors), reverse=True))
     entry = memo.get(degrees)
     if entry is None or entry is _SEEN:
-        fresh = _sequence_entry(degrees, checks, tols)
+        fresh = _sequence_entry(degrees, checks)
         memo[degrees] = _SEEN if entry is None else fresh
         entry = fresh
     seq, report, sequence_results = entry
-    rho = spectral_radius_power(g).rho
+    spec = spectral_radius_power(g)
     ident = encode_graph6(g)
     violations = []
     tight = []
     for name in checks:
         outcome = sequence_results.get(name)
         if outcome is None:
-            outcome = _GRAPH_CHECKS[name](g, seq, report, rho, tols)
+            outcome = _GRAPH_CHECKS[name](g, seq, report, spec)
         details, is_tight = outcome
         violations.extend((ident, name, detail) for detail in details)
         if is_tight:
             tight.append(name)
-    return report_row(ident, seq, report, rho), violations, tight
+    return report_row(ident, seq, report, spec.rho), violations, tight
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +369,7 @@ def _chunk_graphs(kind: str, payload):
         yield parse_edge_list(payload)
 
 
-def _run_chunk(checks: tuple[str, ...], tols: dict, chunk: tuple) -> tuple:
+def _run_chunk(checks: tuple[str, ...], chunk: tuple) -> tuple:
     """Examine one chunk; returns (rows, violations, skipped, tight counts)."""
     rows: list = []
     violations: list[tuple[str, str, str]] = []
@@ -374,7 +381,7 @@ def _run_chunk(checks: tuple[str, ...], tols: dict, chunk: tuple) -> tuple:
         if kind != "enumerate" and not is_connected(g):
             skipped += 1
             continue
-        row, viols, tight = _examine_graph(g, checks, tols, memo)
+        row, viols, tight = _examine_graph(g, checks, memo)
         rows.append(row)
         violations.extend(viols)
         for name in tight:
@@ -391,10 +398,7 @@ def run_campaign(cfg: CampaignConfig, row_sink=None) -> CampaignResult:
     """
     validate_config(cfg)
     started = time.perf_counter()
-    tols = dict(TOLERANCES)
-    if cfg.tol is not None:
-        tols.update(dict.fromkeys(OVERRIDDEN_BY_TOL, cfg.tol))
-    run = functools.partial(_run_chunk, tuple(c for c in CHECKS if c in cfg.checks), tols)
+    run = functools.partial(_run_chunk, tuple(c for c in CHECKS if c in cfg.checks))
     chunks = _chunks(cfg)
     result = CampaignResult(tight_instances=dict.fromkeys(cfg.checks, 0))
 

@@ -58,19 +58,6 @@ class CertificateViolationError(RuntimeError):
         self.bound = bound
 
 
-def scaled_row_sum(degrees, level: int, value: float, excess: int, slack: int, row: int) -> float:
-    """Row ``row`` (1-based, degree-sorted) of B at ``level`` in floats, from
-    its slack: (d_i + T_i / (phi + 1)) / x_i, with T_i = E + d - d_i - slack_i,
-    x_i = 1 + (d_i - d) / (phi + 1) on the prefix and 1 past it.  The integers
-    are exact in floats far below 2**53, so this rounds as the row sum formed
-    from c_i and S_i would."""
-    d = degrees[level - 1]
-    d_i = degrees[row - 1]
-    den = value + 1.0
-    x = 1.0 + (d_i - d) / den if row < level else 1.0
-    return (d_i + (excess + d - d_i - slack) / den) / x
-
-
 @dataclass(frozen=True, slots=True)
 class ScalingCertificate:
     """The proof's row inequalities at one level.
@@ -104,10 +91,16 @@ class ScalingCertificate:
 
     @property
     def row_sums(self) -> tuple[float, ...]:
-        args = self.degrees, self.level, self.phi, self.excess
+        """Each row of B from its slack: (d_i + T_i / (phi + 1)) / x_i, with
+        T_i = E + d - d_i - slack_i and x_i = 1 past the prefix.  The integers
+        are exact in floats far below 2**53, so this rounds as the row sum
+        formed from c_i and S_i would."""
+        d = self.degrees[self.level - 1]
+        den = self.phi + 1.0
+        x = self.x + (1.0,) * (len(self.degrees) - self.level + 1)
         return tuple([
-            scaled_row_sum(*args, slack, row)
-            for row, slack in enumerate(self.slacks, start=1)
+            (d_i + (self.excess + d - d_i - slack) / den) / x_i
+            for d_i, slack, x_i in zip(self.degrees, self.slacks, x)
         ])
 
     @property

@@ -5,7 +5,10 @@ lists from the all-ones vector; ``spectral_radius_charpoly`` computes the
 characteristic polynomial in exact integer arithmetic and isolates its
 largest real root with a certified bisection.  The two share no code path
 (the tridiagonal eigenvalue solver here is not the polynomial root finder),
-so their agreement is a meaningful cross-check.
+so their agreement is a meaningful cross-check.  Each returns certified
+ends lo <= rho <= hi: exact sign tests for the charpoly, and for Lanczos the
+Collatz-Wielandt bracket of its Ritz vector (Collatz 1942; Wielandt 1950),
+from exact integer products.
 
 Lanczos keeps only the tridiagonal's coefficients and three vectors, so its
 memory is O(n + k) after k steps; the Ritz vector is summed in a second pass
@@ -25,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
-from operator import mul
+from operator import add, mul, truediv
 
 from .graph_core import Graph
 from .tolerances import TOLERANCES
@@ -40,17 +43,24 @@ SOLVE_FACTOR = 100.0
 
 @dataclass(frozen=True, slots=True)
 class SpectralResult:
-    """Largest adjacency eigenvalue with convergence diagnostics.
+    """Largest adjacency eigenvalue, convergence diagnostics, and proven
+    ends ``lo <= rho(A) <= hi`` around the float estimate ``rho``.
 
-    For the Lanczos method ``iterations`` counts products with A and
-    ``residual`` is |A*y - rho*y|_inf / |y|_2 at the accepted Ritz vector y;
-    for the charpoly method they are the root isolation's iterations and the
-    width of the certified enclosure of the root.
+    For the Lanczos method ``iterations`` counts products with A,
+    ``residual`` is |A*y - rho*y|_inf / |y|_2 at the accepted Ritz vector y,
+    and (lo, hi) is y's Collatz-Wielandt bracket, or, when y is not
+    positive, its Rayleigh quotient and the largest Collatz-Wielandt
+    quotient of a positive vector grown from max(y, 0) (``_certified_ends``).
+    For the charpoly method they are
+    the root isolation's iterations, hi - lo, and the ends of its certified
+    bisection.
     """
 
     rho: float
     iterations: int
     residual: float
+    lo: float
+    hi: float
 
 
 class ConvergenceError(RuntimeError):
@@ -178,6 +188,41 @@ def _ritz_coefficients(alphas, beta2, betas, theta: float) -> list[float]:
     return s
 
 
+def _certified_ends(Y: list[int], AY: list[int], nbrs, target: float, budget: int):
+    """(lo, hi, products spent) with lo <= rho(A) <= hi, from an integer
+    vector Y != 0 and AY = A*Y.
+
+    For Y > 0 they are Y's Collatz-Wielandt bracket min AY_i/Y_i <= rho <=
+    max AY_i/Y_i (Collatz 1942; Wielandt 1950), each quotient rounded once
+    and then moved one unit outward.  Otherwise, as where a localized Perron
+    vector's tail is below Lanczos's residual and Y's is noise, lo is the
+    Rayleigh quotient Y.AY / Y.Y, at or below the largest eigenvalue of the
+    symmetric A for every Y, and hi the largest quotient of a positive Z:
+    Z starts at max(Y, 0) and takes products with A + I, which spread its
+    support by one edge each and, once Z > 0, never raise hi.  They stop
+    when hi is at most ``target`` or stops falling, or after ``budget``
+    products, and a Z still not positive leaves hi = d_1.
+    """
+    if min(Y) > 0:
+        ratios = list(map(truediv, AY, Y))
+        return math.nextafter(min(ratios), -math.inf), math.nextafter(max(ratios), math.inf), 0
+    lo = math.nextafter(sum(map(mul, Y, AY)) / sum(map(mul, Y, Y)), -math.inf)
+    Z = [max(y, 0) for y in Y]
+    hi, last = float(max(map(len, nbrs))), math.inf
+    spent = 0
+    while spent < budget:
+        spent += 1
+        get = Z.__getitem__
+        AZ = [sum(map(get, nb)) for nb in nbrs]
+        if min(Z) > 0:
+            hi = max(map(truediv, AZ, Z))
+            if hi <= target or not hi < last:
+                break
+            last = hi
+        Z = list(map(add, AZ, Z))
+    return lo, math.nextafter(hi, math.inf), spent
+
+
 def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> SpectralResult:
     """Largest adjacency eigenvalue by Lanczos from the all-ones vector (the
     name predates Lanczos).
@@ -200,15 +245,17 @@ def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> 
 
     A second pass regenerates q_1..q_k from the stored coefficients (the
     same floats in the same order, so the same vectors) and sums the Ritz
-    vector y = sum s_j q_j.  rho = y.Ay / y.y, every sum in it rounded once,
-    is accepted when the explicit residual |Ay - rho*y|_inf / |y|_2 is at
-    most 'power_residual'; otherwise Lanczos restarts from y.  The all-ones
-    start has positive overlap with the Perron vector, so the largest
-    eigenvalue of A is in reach on a connected graph.  Memory is O(n + k):
-    no basis is stored.
+    vector y = sum s_j q_j, then A*Y in integers for Y = y*2^s, 2^-s the
+    smallest unit in y.  rho = y.Ay / y.y, every sum in it rounded once, is
+    accepted with the certified ends of ``_certified_ends`` (target rho +
+    'power_residual') when the explicit residual |Ay - rho*y|_inf / |y|_2
+    is at most 'power_residual'; otherwise Lanczos restarts from y.  The all-ones start has positive overlap with the
+    Perron vector, so the largest eigenvalue of A is in reach on a connected
+    graph.  Memory is O(n + k): no basis is stored.
 
-    ``max_iterations`` caps the products with A over both passes and every
-    restart; ``iterations`` reports the products used.
+    ``max_iterations`` caps the products with A over both passes, every
+    restart and the certified ends; ``iterations`` reports the products
+    used.
     """
     tol = TOLERANCES["power_residual"]
     nbrs = g.neighbors
@@ -273,14 +320,19 @@ def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> 
             q_prev, q, beta_prev = q, [(wi - alpha * qi) / beta for wi, qi in zip(w, q)], beta
             y = [yi + sj * qi for yi, qi in zip(y, q)]
         count_product()
-        # every entry of A*y and both dot products rounded once
-        get = y.__getitem__
-        ay = [math.fsum(map(get, nb)) for nb in nbrs]
+        # A*Y exact; every entry of A*y and both dot products rounded once
+        ratios = [yi.as_integer_ratio() for yi in y]
+        unit = max([q for _, q in ratios])
+        Y = [p * (unit // q) for p, q in ratios]
+        get = Y.__getitem__
+        AY = [sum(map(get, nb)) for nb in nbrs]
+        ay = [x / unit for x in AY]
         yy = math.fsum(map(mul, y, y))
         rho = math.fsum(map(mul, y, ay)) / yy
         residual = max([abs(ai - rho * yi) for ai, yi in zip(ay, y)]) / math.sqrt(yy)
         if residual <= tol:
-            return SpectralResult(rho, products, residual)
+            lo, hi, spent = _certified_ends(Y, AY, nbrs, rho + tol, max_iterations - products)
+            return SpectralResult(rho, products + spent, residual, lo, hi)
         theta, start = rho, y
 
 
@@ -431,12 +483,12 @@ def spectral_radius_charpoly(g: Graph) -> SpectralResult:
     certifies its ends by integer sign tests, falling back to these proven
     ends where a bracket around Newton's point fails, so the result is
     independent of the power method in both algorithm and arithmetic.
-    ``rho`` is the midpoint of the certified ends and ``residual`` their
-    distance.  The root isolation is cached per process under the exact key
-    (characteristic polynomial, maximum degree); the polynomial itself is
-    computed for every graph.
+    ``rho`` is the midpoint of the certified ends ``lo`` and ``hi`` and
+    ``residual`` their distance.  The root isolation is cached per process
+    under the exact key (characteristic polynomial, maximum degree); the
+    polynomial itself is computed for every graph.
     """
     coeffs = characteristic_polynomial(g)
     d1 = max((len(nb) for nb in g.neighbors), default=0)
     lo, hi, iterations = _cached_root(coeffs, d1)
-    return SpectralResult(0.5 * (lo + hi), iterations, hi - lo)
+    return SpectralResult(0.5 * (lo + hi), iterations, hi - lo, lo, hi)

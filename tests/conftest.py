@@ -1,8 +1,9 @@
 """Shared test helpers: exact independent oracles and seeded corpora.
 
-The surd comparator below decides orderings of (a + sqrt(b))/2 values in
-pure integer arithmetic, giving the tests a tie-detection oracle that owes
-nothing to the library's prefix-sum comparison logic.  The structural
+The exact phi comparisons below go through ``bounds.compare_half_surds``,
+which decides orderings of (a + sqrt(b))/2 values in pure integer
+arithmetic, giving the tests a tie-detection oracle that owes nothing to the
+library's prefix-sum comparison logic.  The structural
 oracles (adjacency invariants, union-find connectivity, the numeric tight
 set, the per-level replay loops, the dense Faddeev-LeVerrier loop, the
 memo-free campaign chunk, the per-bit graph6 loops, the quadratic
@@ -25,12 +26,12 @@ from rho_bounds import (
     phi,
     phi_sequence,
     spectral_radius_power,
-    tight_levels,
 )
 from rho_bounds import harness
+from rho_bounds.bounds import compare_half_surds, phi_surd
+from rho_bounds.equality import tight_levels
 from rho_bounds.graph_core import _G6_MAX_N
 from rho_bounds.spectral_oracle import CHARPOLY_MAX_N, UnsupportedSizeError
-from rho_bounds.tolerances import TOLERANCES
 
 
 def check_invariants(g: Graph) -> None:
@@ -63,7 +64,7 @@ def is_connected_union_find(g: Graph) -> bool:
     return components == 1
 
 
-def check_equality_numeric(g: Graph, tol: float = TOLERANCES["equality"]) -> frozenset[int]:
+def check_equality_numeric(g: Graph, tol: float = 1e-6) -> frozenset[int]:
     """Numerically tight levels of a connected graph, from the power oracle.
 
     Used solely to validate ``classify_equality``; structural
@@ -152,44 +153,6 @@ def characteristic_polynomial_dense(g: Graph) -> tuple[int, ...]:
     return tuple(c)
 
 
-def compare_half_surds(a1: int, b1: int, a2: int, b2: int) -> int:
-    """Exact sign of (a1 + sqrt(b1))/2 - (a2 + sqrt(b2))/2 for integers.
-
-    Requires b1, b2 >= 0.  Returns 1, 0, or -1.
-    """
-    if b1 < 0 or b2 < 0:
-        raise ValueError("radicands must be nonnegative")
-    d = a1 - a2
-    # sign of d + sqrt(b1) - sqrt(b2)
-    if d >= 0:
-        # d + sqrt(b1) >= 0: compare squares of (d + sqrt(b1)) and sqrt(b2),
-        # i.e. the sign of e + 2d*sqrt(b1) with e below
-        e = d * d + b1 - b2
-        if e >= 0:
-            return 0 if (e == 0 and d * d * b1 == 0) else 1
-        # e < 0: sign of 2d*sqrt(b1) - |e|
-        lhs = 4 * d * d * b1
-        rhs = e * e
-        return 1 if lhs > rhs else (0 if lhs == rhs else -1)
-    # d < 0
-    if b1 <= d * d:
-        # d + sqrt(b1) <= 0 <= sqrt(b2)
-        return 0 if (b1 == d * d and b2 == 0) else -1
-    e = d * d + b1 - b2
-    if e <= 0:
-        return -1
-    lhs = e * e
-    rhs = 4 * d * d * b1
-    return 1 if lhs > rhs else (0 if lhs == rhs else -1)
-
-
-def phi_surd(seq: DegreeSequence, level: int) -> tuple[int, int]:
-    """The phi value at a level as the exact surd pair (a, b): (a+sqrt(b))/2."""
-    d = seq.degrees[level - 1]
-    excess = seq.prefix[level - 1] - (level - 1) * d
-    return d - 1, (d + 1) * (d + 1) + 4 * excess
-
-
 def exact_phi_compare(seq: DegreeSequence, s: int, t: int) -> int:
     """Exact sign of phi_s - phi_t via the surd comparator."""
     a1, b1 = phi_surd(seq, s)
@@ -234,27 +197,27 @@ def brualdi_hoffman_reference(m: int) -> float:
     return float(k - 1)
 
 
-def examine_graph_reference(g: Graph, checks: tuple[str, ...], tols: dict):
+def examine_graph_reference(g: Graph, checks: tuple[str, ...]):
     """``harness._examine_graph`` without the per-sequence memo: the degree
     sequence, its report and every check are computed for this graph."""
     seq = degree_sequence(g)
-    rho = spectral_radius_power(g).rho
+    spec = spectral_radius_power(g)
     report = bound_report(seq)
     ident = encode_graph6(g)
     violations = []
     tight = []
     for name in checks:
         if name in harness._SEQUENCE_CHECKS:
-            details, is_tight = harness._SEQUENCE_CHECKS[name](seq, report, tols)
+            details, is_tight = harness._SEQUENCE_CHECKS[name](seq, report)
         else:
-            details, is_tight = harness._GRAPH_CHECKS[name](g, seq, report, rho, tols)
+            details, is_tight = harness._GRAPH_CHECKS[name](g, seq, report, spec)
         violations.extend((ident, name, detail) for detail in details)
         if is_tight:
             tight.append(name)
-    return harness.report_row(ident, seq, report, rho), violations, tight
+    return harness.report_row(ident, seq, report, spec.rho), violations, tight
 
 
-def run_chunk_reference(checks: tuple[str, ...], tols: dict, chunk: tuple) -> tuple:
+def run_chunk_reference(checks: tuple[str, ...], chunk: tuple) -> tuple:
     """``harness._run_chunk`` with ``examine_graph_reference`` per graph."""
     rows = []
     violations = []
@@ -265,7 +228,7 @@ def run_chunk_reference(checks: tuple[str, ...], tols: dict, chunk: tuple) -> tu
         if kind != "enumerate" and not is_connected(g):
             skipped += 1
             continue
-        row, viols, tight = examine_graph_reference(g, checks, tols)
+        row, viols, tight = examine_graph_reference(g, checks)
         rows.append(row)
         violations.extend(viols)
         for name in tight:
@@ -401,3 +364,12 @@ def random_degree_sequence(rng: random.Random, max_n: int = 50) -> DegreeSequenc
 def random_tree(rng: random.Random, n: int) -> Graph:
     """Random recursive tree: vertex k attaches to a uniform earlier vertex."""
     return Graph.from_edges(n, ((k, rng.randrange(k)) for k in range(1, n)))
+
+
+def lollipop(clique: int, path: int) -> Graph:
+    """K_clique with a path of ``path`` more vertices hung from its last
+    vertex.  Its Perron vector decays geometrically along the path, below
+    Lanczos's residual well before the path ends."""
+    edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
+    edges += [(clique - 1 + i, clique + i) for i in range(path)]
+    return Graph.from_edges(clique + path, edges)

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     brualdi_hoffman_reference,
-    compare_half_surds,
     exact_phi_argmin,
     exact_phi_compare,
     is_graphical_reference,
@@ -37,6 +36,7 @@ from rho_bounds import (
     phi_sequence,
     spectral_radius_power,
 )
+from rho_bounds.bounds import compare_half_surds
 from rho_bounds.harness import report_row
 
 

@@ -17,8 +17,16 @@ from rho_bounds import (
     parse_graph6,
     spectral_radius_charpoly,
 )
-from rho_bounds import cli
+from rho_bounds import cli, harness
 from rho_bounds.cli import run
+
+
+def _exit_code(argv) -> int:
+    """``run``'s exit code, counting argparse's usage errors (SystemExit)."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestBound:
@@ -211,7 +219,7 @@ class TestVerify:
 
     def test_n4_reference_rho_matches_charpoly(self):
         """The pinned rho bytes of tests/data/verify_n4.csv lie within
-        ``oracle_tight`` of the independent charpoly oracle."""
+        1e-12 of the independent charpoly oracle."""
         reference = (Path(__file__).parent / "data" / "verify_n4.csv").read_text("ascii")
         header, *cells = csv.reader(reference.splitlines())
         column = {name: i for i, name in enumerate(header)}
@@ -253,11 +261,13 @@ class TestVerify:
             "soundness", "dominance", "equality", "unimodality", "replay", "oracle"
         }
 
-    def test_violations_exit_code(self, capsys):
-        code = run(["verify", "--n", "3", "--checks", "equality", "--tol", "10"])
+    def test_violations_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setitem(harness._GRAPH_CHECKS, "equality",
+                            lambda g, seq, report, spec: (["forged"], False))
+        code = run(["verify", "--n", "3", "--checks", "equality"])
         assert code == 1
         captured = capsys.readouterr()
-        assert "violation" in captured.err
+        assert "violation [equality] Bo: forged" in captured.err
 
     def test_selected_checks_only(self, capsys):
         assert run(["verify", "--n", "3", "--checks", "soundness,dominance"]) == 0
@@ -284,8 +294,10 @@ class TestVerify:
         assert run(["verify", "--input", str(path)]) == 2
         assert "record 2" in capsys.readouterr().err
 
-    def test_tolerance_must_be_positive(self, capsys):
-        assert run(["verify", "--n", "3", "--tol", "-1"]) == 2
+    def test_tol_flag_is_gone(self, capsys):
+        # every verdict is exact; the flag is an unknown argument
+        assert _exit_code(["verify", "--n", "3", "--tol", "1e-9"]) == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     @pytest.mark.parametrize(
@@ -295,7 +307,7 @@ class TestVerify:
         ids=["n9", "checks_bogus", "checks_empty", "checks_repeated", "tol_negative", "tol_nan"],
     )
     def test_config_error_leaves_stdout_empty(self, bad, output, capsys):
-        assert run(["verify", *bad, "--output", output]) == 2
+        assert _exit_code(["verify", *bad, "--output", output]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err

@@ -15,8 +15,8 @@ from rho_bounds import (
     gen_named,
     phi_sequence,
     spectral_radius_power,
-    tight_levels,
 )
+from rho_bounds.equality import tight_levels
 
 
 def seq_of(*degrees):
@@ -80,6 +80,8 @@ class TestNumericTightSet:
     def test_tight_levels_helper(self):
         assert tight_levels([2.0, 1.5, 1.500002], 1.5, tol=1e-6) == frozenset({2})
         assert tight_levels([2.0, 1.5, 1.500002], 1.5, tol=1e-3) == frozenset({2, 3})
+        # the default tolerance is zero: only an exact tie counts
+        assert tight_levels([2.0, 1.5, math.nextafter(1.5, 2.0)], 1.5) == frozenset({2})
 
 
 class TestExhaustiveAgreement:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import multiprocessing
 import tracemalloc
 
 import pytest
@@ -11,6 +13,7 @@ from rho_bounds import (
     CampaignConfig,
     CHECKS,
     CSV_COLUMNS,
+    DOMINATING,
     DegreeSequence,
     EqualityCertificate,
     Graph,
@@ -20,13 +23,14 @@ from rho_bounds import (
     bound_report,
     degree_sequence,
     encode_graph6,
+    enumerate_connected,
     gen_named,
     run_campaign,
     spectral_radius_power,
 )
 from rho_bounds.graph_core import enumeration_space
 
-from conftest import examine_graph_reference, run_chunk_reference
+from conftest import examine_graph_reference, lollipop, run_chunk_reference
 
 
 def campaign(tmp_path=None, **kwargs):
@@ -51,32 +55,22 @@ class TestEnumerateCampaigns:
         result = campaign(source="enumerate", n=4, checks=("unimodality",))
         assert result.tight_instances["unimodality"] == 1  # K_4 alone
 
-    def test_huge_tolerance_flags_mismatches(self):
-        # tol=10 makes the numeric tight set all levels, so every graph
-        # without an all-levels certificate becomes a mismatch
-        result = campaign(source="enumerate", n=3, checks=("equality",), tol=10.0)
-        assert result.violations
-        gid, check, detail = result.violations[0]
-        assert check == "equality"
-        assert "predicted" in detail
+    def test_soundness_tight_count_is_exact(self):
+        # soundness counts a graph tight when its argmin level has zero
+        # slacks, which is exactly when the graph is an equality case
+        result = campaign(source="enumerate", n=5, checks=("soundness", "equality"))
+        assert result.tight_instances == {"soundness": 68, "equality": 68}
+        assert result.violations == []
 
-    def test_tol_moves_the_soundness_tight_count(self):
-        # soundness counts a graph tight within the equality tolerance, so
-        # --tol moves its count; at 1e-30 only bit-exact ties are left
-        counts = [
-            campaign(source="enumerate", n=5, checks=("soundness",), tol=tol)
-            .tight_instances["soundness"] for tol in (None, 1e-30)
-        ]
-        assert counts == [68, 52]
-
-    def test_tol_leaves_fixed_tolerances_alone(self):
-        # --tol overrides only soundness and equality; the other
-        # checks keep their fixed tolerances, so a huge tol changes nothing
-        checks = ("dominance", "unimodality", "oracle")
-        default = campaign(source="enumerate", n=4, checks=checks)
-        loose = campaign(source="enumerate", n=4, checks=checks, tol=10.0)
-        assert default.violations == loose.violations == []
-        assert loose.tight_instances == default.tight_instances
+    def test_tiny_graphs_are_tight_everywhere(self):
+        # K_1 (rho = phi_1 = 0) and K_2 (rho = phi_l = 1) are regular
+        for n in (1, 2):
+            result = campaign(source="enumerate", n=n)
+            assert result.violations == []
+            assert result.tight_instances == {
+                "soundness": 1, "dominance": 0, "equality": n - 1,
+                "unimodality": 1, "replay": 1, "oracle": 1,
+            }
 
     def test_rows_in_source_order(self):
         rows = []
@@ -173,13 +167,13 @@ class TestConfigValidation:
             dict(source="enumerate"),
             dict(source="graph6"),
             dict(source="enumerate", n=3, checks=("bogus",)),
-            dict(source="enumerate", n=3, tol=0.0),
+            dict(source="edgelist"),
             dict(source="enumerate", n=3, jobs=0),
             dict(source="enumerate", n=9),
             dict(source="enumerate", n=0),
             dict(source="enumerate", n=8),
-            dict(source="enumerate", n=3, tol=float("nan")),
-            dict(source="enumerate", n=3, tol=float("inf")),
+            dict(source="enumerate", n=3, jobs=-1),
+            dict(source="enumerate", n=-1),
             dict(source="enumerate", n=3, checks=()),
             dict(source="enumerate", n=3, checks=("soundness", "soundness")),
         ],
@@ -187,6 +181,11 @@ class TestConfigValidation:
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
             run_campaign(CampaignConfig(**kwargs))
+
+    def test_no_tolerance_field(self):
+        # every verdict is exact, so a campaign has no tolerance to set
+        with pytest.raises(TypeError):
+            CampaignConfig(source="enumerate", n=3, tol=1e-9)
 
     def test_bad_n_rejected_before_any_task(self):
         # n=9 would mean 2^36 candidate masks; the config must fail before
@@ -211,16 +210,20 @@ class TestConfigValidation:
             assert getattr(rho_bounds, name) is not None, name
 
 
-def _replay(g, cert=None, rho=None):
-    """The replay check on one graph, reading only the soundness tolerance;
-    ``cert`` replaces the report's equality certificate."""
+def _graph_check(name, g, cert=None, spec=None, **ends):
+    """Graph check ``name`` on one graph.  ``cert`` replaces the report's
+    equality certificate, ``spec`` the Lanczos result, and ``lo``/``hi``
+    forge the ends of its enclosure."""
     seq = degree_sequence(g)
     report = bound_report(seq)
     if cert is not None:
         report = dataclasses.replace(report, cert=cert)
-    if rho is None:
-        rho = spectral_radius_power(g).rho
-    return harness._replay(g, seq, report, rho, {"soundness": 1e-9})
+    spec = dataclasses.replace(spec or spectral_radius_power(g), **ends)
+    return harness._GRAPH_CHECKS[name](g, seq, report, spec)
+
+
+def _replay(g, cert=None):
+    return _graph_check("replay", g, cert)
 
 
 class TestReplayCheck:
@@ -243,14 +246,8 @@ class TestReplayCheck:
         assert not tight
         assert details == ["predicted tight levels [1] (Regular) but the zero-slack levels are []"]
 
-    def test_rho_above_every_row(self):
-        details, _ = _replay(gen_named("complete", 3), rho=2.5)
-        assert details == [
-            f"rho=2.5 exceeds max scaled row sum 2.0 at level {level}" for level in (1, 2, 3)
-        ]
-
     def test_negative_slack(self):
-        details, tight = _replay(Graph(3, ((1, 1, 2), (0, 0), (0,))), rho=2.0)
+        details, tight = _replay(Graph(3, ((1, 1, 2), (0, 0), (0,))))
         assert not tight
         assert [d.split(" (")[0] for d in details] == [
             "row 2 has slack -1 < 0", "row 1 has slack -1 < 0"]
@@ -259,7 +256,7 @@ class TestReplayCheck:
         # a level with a negative slack is never flat, so the one set
         # message follows the two slack violations
         cert = EqualityCertificate(REGULAR, None, frozenset({1, 2, 3}))
-        details, tight = _replay(Graph(3, ((1, 1, 2), (0, 0), (0,))), cert, rho=2.0)
+        details, tight = _replay(Graph(3, ((1, 1, 2), (0, 0), (0,))), cert)
         assert not tight
         assert [d.split(" (")[0] for d in details[:2]] == [
             "row 2 has slack -1 < 0", "row 1 has slack -1 < 0"]
@@ -267,11 +264,137 @@ class TestReplayCheck:
             "predicted tight levels [1, 2, 3] (Regular) but the zero-slack levels are []"]
 
 
+class TestExactVerdicts:
+    """Soundness, equality and oracle decide from the certified ends of
+    rho, here forged, and compare them exactly with the half-surds phi_l."""
+
+    P4 = gen_named("path", 4)  # degrees (2, 2, 1, 1): phi_min = sqrt(3) at levels 3, 4
+    STAR = gen_named("star", 4)  # rho = phi_2 = phi_3 = phi_4 = sqrt(3)
+    SQRT3 = math.sqrt(3)
+
+    def test_soundness_violated(self):
+        details, tight = _graph_check("soundness", self.P4, lo=1.75, hi=1.8)
+        assert details == [f"rho >= 1.75 exceeds phi_3={self.SQRT3!r}"]
+        assert not tight
+
+    def test_soundness_proved_by_the_bracket(self):
+        assert _graph_check("soundness", self.P4) == ([], False)
+        # one unit in the last place below phi_min is a proof
+        below = math.nextafter(self.SQRT3, 0.0)
+        assert _graph_check("soundness", self.P4, lo=1.0, hi=below) == ([], False)
+
+    def test_soundness_proved_by_zero_slacks(self):
+        # the star's argmin level 2 has every slack zero, so rho = phi_2
+        # however wide the enclosure around it
+        assert _graph_check("soundness", self.STAR) == ([], True)
+        assert _graph_check("soundness", self.STAR, lo=1.0, hi=2.0) == ([], True)
+        details, tight = _graph_check("soundness", self.STAR, lo=1.75, hi=2.0)
+        assert details[0].startswith("rho >= 1.75 exceeds phi_2=") and not tight
+
+    def test_soundness_undecided(self):
+        # the enclosure holds phi_min and level 3 of the path has slack
+        details, tight = _graph_check("soundness", self.P4, lo=1.7, hi=1.75)
+        assert details == [
+            f"undecided: [1.7, 1.75] holds phi_3={self.SQRT3!r} and level 3 has a nonzero slack"]
+        assert not tight
+
+    def test_equality_exact_on_real_enclosures(self):
+        assert _graph_check("equality", self.STAR) == ([], True)
+        assert _graph_check("equality", self.P4) == ([], False)
+        assert _graph_check("equality", gen_named("cycle", 5)) == ([], True)
+
+    def test_equality_predicted_level_outside(self):
+        # phi_2 = phi_3 = phi_4 = sqrt(3) above the enclosure, then below it
+        for lo, hi in ((1.0, 1.5), (1.75, 2.0)):
+            details, tight = _graph_check("equality", self.STAR, lo=lo, hi=hi)
+            assert details == [f"predicted [2, 3, 4] (Dominating, t=2) but [{lo}, {hi}] "
+                               "disagrees at levels [2, 3, 4]"]
+            assert tight
+
+    def test_equality_unpredicted_level_inside(self):
+        # level 3 of the path has slack, so an enclosure holding phi_3
+        # leaves it open, and one at or above phi_3 proves it wrong
+        details, tight = _graph_check("equality", self.P4, lo=1.7, hi=1.75)
+        assert details == ["undecided: [1.7, 1.75] holds phi_l at unpredicted levels [3]"]
+        assert not tight
+        details, _ = _graph_check("equality", self.P4, lo=1.75, hi=1.8)
+        assert details == ["predicted [] (None, t=None) but [1.75, 1.8] disagrees at levels [3]"]
+
+    def test_equality_forged_certificate(self):
+        # the path claimed regular: phi_1 = phi_2 = 2 are above the
+        # enclosure and phi_3 = phi_4 inside it, but all four are predicted
+        cert = EqualityCertificate(REGULAR, None, frozenset({1, 2, 3, 4}))
+        details, _ = _graph_check("equality", self.P4, cert, lo=1.7, hi=1.75)
+        assert details[0].endswith("disagrees at levels [1, 2]")
+        # levels 2-4 of the star share a degree, but only level 2 is claimed:
+        # a verdict is reused only where the prediction repeats too.  Their
+        # slacks are all zero, so rho = phi_3 = phi_4 is proved, however
+        # wide the enclosure
+        cert = EqualityCertificate(DOMINATING, 2, frozenset({2}))
+        for ends in ({}, {"lo": 1.0, "hi": 2.0}):
+            details, _ = _graph_check("equality", self.STAR, cert, **ends)
+            assert len(details) == 1 and details[0].endswith("disagrees at levels [3, 4]")
+
+    def test_oracle_disjoint_enclosures(self):
+        details, tight = _graph_check("oracle", gen_named("complete", 3), lo=2.5, hi=2.6)
+        assert details[0].startswith("Lanczos [2.5, 2.6] and charpoly [")
+        assert details[0].endswith("are disjoint")
+        assert details[1:] == ["[2.5, 2.6] misses [2.0, 2]"]
+        assert not tight
+
+    def test_oracle_bracket_missed_exactly(self, monkeypatch):
+        # 2m/n = 4/3 on the 3-path; the float 4/3 lies below it, so an
+        # enclosure ending there misses [4/3, 2] although hi * n == 2m in
+        # floats.  The charpoly is forged to agree, so only the bracket speaks.
+        path = gen_named("path", 3)
+        spec = spectral_radius_power(path)
+        for hi, missed in ((4 / 3, True), (math.nextafter(4 / 3, 2.0), False)):
+            forged = dataclasses.replace(spec, lo=1.0, hi=hi)
+            monkeypatch.setattr(harness, "spectral_radius_charpoly", lambda g: forged)
+            details, tight = _graph_check("oracle", path, spec=forged)
+            assert details == ([f"[1.0, {hi!r}] misses [{4 / 3!r}, 2]"] if missed else [])
+            assert tight
+
+    def test_oracle_tight_when_enclosures_meet(self):
+        assert _graph_check("oracle", self.P4) == ([], True)
+
+
+def test_pool_merges_violations_in_source_order(tmp_path, monkeypatch):
+    # a check that flags the graphs with an odd edge count, merged from
+    # eight file chunks by a pool of two and by the serial loop
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers inherit the patched check only when forked")
+    graphs = list(itertools.islice(enumerate_connected(6), 2000))
+    lines = [encode_graph6(g) for g in graphs]
+    path = tmp_path / "six.g6"
+    path.write_text("".join(line + "\n" for line in lines))
+    monkeypatch.setattr(harness, "_FILE_CHUNK", 250)
+    monkeypatch.setitem(harness._GRAPH_CHECKS, "soundness", lambda g, seq, report, spec: (
+        [f"m={seq.m} is odd"] if seq.m % 2 else [], False))
+    cfg = dict(source="graph6", path=str(path), checks=("soundness",))
+    serial, pooled = (run_campaign(CampaignConfig(**cfg, jobs=jobs)) for jobs in (1, 2))
+    m = [sum(map(len, g.neighbors)) // 2 for g in graphs]
+    expected = [(line, "soundness", f"m={k} is odd") for line, k in zip(lines, m) if k % 2]
+    assert expected
+    assert serial.violations == pooled.violations == expected
+
+
+@pytest.mark.parametrize("clique, path", [(10, 50), (5, 300)])
+def test_localized_perron_vector_verifies(clique, path, tmp_path):
+    # the Ritz vector's tail is noise of either sign on these graphs; the
+    # certified enclosure must still decide every check
+    corpus = tmp_path / "lollipop.g6"
+    corpus.write_text(encode_graph6(lollipop(clique, path)) + "\n")
+    result = run_campaign(CampaignConfig(source="graph6", path=str(corpus)))
+    assert result.graphs_checked == 1
+    assert result.violations == []
+
+
 def _dominance(seq, **replace):
     """The dominance check on a sequence's report with ``replace``d fields,
     reading no tolerance."""
     report = dataclasses.replace(bound_report(seq), **replace)
-    return harness._dominance(seq, report, {})
+    return harness._dominance(seq, report)
 
 
 class TestDominanceCheck:
@@ -309,12 +432,11 @@ class TestSequenceMemo:
     violation and no tight count."""
 
     def test_chunks_match_reference_through_n6(self):
-        tols = dict(harness.TOLERANCES)
         for n in range(1, 7):
             chunk = ("enumerate", (n, 0, enumeration_space(n)))
-            assert harness._run_chunk(CHECKS, tols, chunk) == run_chunk_reference(CHECKS, tols, chunk)
+            assert harness._run_chunk(CHECKS, chunk) == run_chunk_reference(CHECKS, chunk)
 
-    def test_sequence_messages_name_no_graph(self):
+    def test_sequence_messages_name_no_graph(self, monkeypatch):
         # two labelings of the 4-path share one sequence; the star has its
         # own.  A negative comparator tolerance makes every float step a
         # violation whose message the memo hands to both labelings.
@@ -325,17 +447,17 @@ class TestSequenceMemo:
         ]
         ids = [encode_graph6(g) for g in graphs]
         assert len(set(ids)) == 3
-        tols = dict(harness.TOLERANCES, comparator=-1.0)
-        expected = [examine_graph_reference(g, CHECKS, tols) for g in graphs]
+        monkeypatch.setitem(harness.TOLERANCES, "comparator", -1.0)
+        expected = [examine_graph_reference(g, CHECKS) for g in graphs]
         for ident, (_, violations, _) in zip(ids, expected):
             assert violations and {gid for gid, _, _ in violations} == {ident}
         chunk = ("graph6", (1, ids))
-        assert harness._run_chunk(CHECKS, tols, chunk) == run_chunk_reference(CHECKS, tols, chunk)
+        assert harness._run_chunk(CHECKS, chunk) == run_chunk_reference(CHECKS, chunk)
 
         path, star = (2, 2, 1, 1), (3, 1, 1, 1)
         memo = {}
         for state in ("cold", "warm"):
-            got = [harness._examine_graph(g, CHECKS, tols, memo) for g in graphs]
+            got = [harness._examine_graph(g, CHECKS, memo) for g in graphs]
             assert got == expected
             assert memo.keys() == {path, star}
             assert memo[path] is not harness._SEEN

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     characteristic_polynomial_dense,
+    lollipop,
     random_connected_graph,
     random_graph,
     random_tree,
@@ -29,6 +30,7 @@ from rho_bounds.spectral_oracle import (
     FIELD_BITS,
     _at_or_above_root,
     _cached_root,
+    _certified_ends,
     _derivative_chain,
     _largest_eigenvalue,
     _ritz_coefficients,
@@ -37,6 +39,9 @@ from rho_bounds.spectral_oracle import (
 from rho_bounds.tolerances import TOLERANCES
 
 BOTH_METHODS = (spectral_radius_power, spectral_radius_charpoly)
+
+#: How close the two oracles' float estimates of rho come on small graphs.
+ORACLE_TIGHT = 1e-12
 
 
 class TestPowerIteration:
@@ -74,6 +79,80 @@ class TestPowerIteration:
         assert err.value.last_estimate > 0
 
 
+class TestCertifiedEnds:
+    """Lanczos's certified ends: the Collatz-Wielandt bracket of its Ritz
+    vector y, or, when y is not positive, y's Rayleigh quotient and the
+    largest quotient of a positive vector grown from max(y, 0)."""
+
+    P3 = ((1,), (0, 2), (1,))
+
+    def test_encloses_rho(self):
+        rng = random.Random(515)
+        graphs = [gen_named("path", 50), gen_named("star", 30), gen_join_dominating(12, 4, 2)]
+        graphs += [random_connected_graph(rng, n, 0.3) for n in (9, 25, 80)]
+        graphs += [random_tree(rng, 60)]
+        for g in graphs:
+            res = spectral_radius_power(g)
+            assert 0.0 < res.lo <= res.rho <= res.hi
+            # the width follows the residual over the smallest entry of y
+            assert res.hi - res.lo <= 1e-6
+            if g.n <= CHARPOLY_MAX_N:
+                cp = spectral_radius_charpoly(g)
+                assert cp.lo <= res.hi and res.lo <= cp.hi
+
+    def test_regular_graph_is_one_ulp_each_side(self):
+        # the all-ones start is the Perron vector: every quotient is d
+        res = spectral_radius_power(gen_named("cycle", 9))
+        assert (res.lo, res.rho, res.hi) == (math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0))
+
+    @pytest.mark.parametrize("n, rho", [(1, 0.0), (2, 1.0)])
+    def test_smallest_graphs(self, n, rho):
+        res = spectral_radius_power(gen_named("complete", n))
+        assert res.rho == rho
+        assert (res.lo, res.hi) == (math.nextafter(rho, -1.0), math.nextafter(rho, 2.0))
+        cp = spectral_radius_charpoly(gen_named("complete", n))
+        assert cp.lo <= rho <= cp.hi
+
+    def test_quotients_round_outward(self):
+        # a path on 3 vertices with Y = (1, 1, 1): AY = (1, 2, 1)
+        lo, hi, spent = _certified_ends([1, 1, 1], [1, 2, 1], self.P3, 0.0, 10)
+        assert (lo, hi, spent) == (math.nextafter(1.0, 0.0), math.nextafter(2.0, 3.0), 0)
+        # 2/3 is not a float: the ends lie one unit beyond its rounding
+        lo, hi, _ = _certified_ends([3, 3], [2, 2], ((1,), (0,)), 0.0, 10)
+        assert lo < 2 / 3 < hi and math.nextafter(lo, 1.0) == 2 / 3 == math.nextafter(hi, 0.0)
+
+    def test_non_positive_vector_grows_positive(self):
+        # max(Y, 0) = (2, 0, 3); products with A + I give (2, 5, 3), whose
+        # quotients (5/2, 1, 5/3) are above rho = sqrt(2), then fall to it
+        lo, hi, spent = _certified_ends([2, -1, 3], [-1, 5, -1], self.P3, 2.5, 10)
+        assert (hi, spent) == (math.nextafter(2.5, 3.0), 2)
+        assert lo == math.nextafter(-10 / 14, -2.0)  # Y.AY / Y.Y
+        _, hi, spent = _certified_ends([2, -1, 3], [-1, 5, -1], self.P3, math.sqrt(2) + 1e-9, 100)
+        assert math.sqrt(2) < hi <= math.sqrt(2) + 2e-9 and 2 < spent < 100
+
+    @pytest.mark.parametrize("Y", [[1, 0, 0], [2, -1, 3]], ids=["zero", "negative"])
+    def test_budget_spent_before_positive_falls_back(self, Y):
+        AY = [sum(Y[u] for u in nb) for nb in self.P3]
+        _, hi, spent = _certified_ends(Y, AY, self.P3, 0.0, 1)
+        assert (hi, spent) == (math.nextafter(2.0, 3.0), 1)
+
+    @pytest.mark.parametrize("clique, path", [(10, 50), (5, 300)])
+    def test_localized_perron_vector(self, clique, path, monkeypatch):
+        # the Ritz vector is not positive on the path's tail, yet hi is
+        # within the target of rho
+        seen = []
+
+        def spy(Y, AY, nbrs, target, budget):
+            seen.append(min(Y) <= 0)
+            return _certified_ends(Y, AY, nbrs, target, budget)
+
+        monkeypatch.setattr(spectral_oracle, "_certified_ends", spy)
+        res = spectral_radius_power(lollipop(clique, path))
+        assert seen == [True]
+        assert res.lo <= res.rho <= res.hi <= res.rho + 2 * TOLERANCES["power_residual"]
+        assert res.rho - res.lo <= 1e-12
+
+
 def _mask_sample(n, count, seed):
     """``count`` connected graphs on n vertices at seeded distinct edge masks."""
     rng = random.Random(seed)
@@ -104,7 +183,7 @@ class TestLanczos:
             assert abs(res.rho - radius(n)) <= 1e-12, (name, n, res)
 
     def test_charpoly_agreement_n7_sample(self):
-        tight = TOLERANCES["oracle_tight"]
+        tight = ORACLE_TIGHT
         for g in _mask_sample(7, 2000, 7077):
             rho_p = spectral_radius_power(g).rho
             rho_c = spectral_radius_charpoly(g).rho
@@ -396,12 +475,16 @@ class TestClosedForms:
 
 class TestMethodAgreement:
     def test_exhaustive_small(self):
-        tight = TOLERANCES["oracle_tight"]
+        tight = ORACLE_TIGHT
         for n in range(1, 7):
             for g in enumerate_connected(n):
-                rho_p = spectral_radius_power(g).rho
-                rho_c = spectral_radius_charpoly(g).rho
+                power = spectral_radius_power(g)
+                charpoly = spectral_radius_charpoly(g)
+                rho_p, rho_c = power.rho, charpoly.rho
                 assert abs(rho_p - rho_c) <= tight, encode_fail(g, rho_p, rho_c)
+                # the certified enclosures meet
+                assert charpoly.lo <= power.hi and power.lo <= charpoly.hi, (
+                    encode_fail(g, (power.lo, power.hi), (charpoly.lo, charpoly.hi)))
 
     def test_random_medium(self):
         rng = random.Random(1234)

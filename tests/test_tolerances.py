@@ -7,7 +7,7 @@ from pathlib import Path
 
 import rho_bounds
 from rho_bounds import harness
-from rho_bounds.tolerances import OVERRIDDEN_BY_TOL, TOLERANCES
+from rho_bounds.tolerances import TOLERANCES
 
 PACKAGE = Path(rho_bounds.__file__).parent
 
@@ -65,15 +65,10 @@ def test_the_scan_sees_exponent_literals(tmp_path):
 
 def test_values_pinned():
     assert TOLERANCES == {
-        "soundness": 1e-9,
-        "equality": 1e-6,
         "comparator": 1e-9,
-        "oracle": 1e-9,
-        "oracle_tight": 1e-12,
         "power_residual": 1e-9,
         "root_enclosure": 1e-13,
     }
-    assert OVERRIDDEN_BY_TOL == ("soundness", "equality")
 
 
 def test_harness_reads_the_table():
