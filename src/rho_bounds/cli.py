@@ -209,8 +209,6 @@ def cmd_replay(args) -> int:
         "phi": cert.phi,
         "x": cert.x,
         "row_sums": cert.row_sums,
-        "max_row_sum": cert.max_row_sum,
-        "slack": cert.phi - cert.max_row_sum,
         "slacks": cert.slacks,
     }, args.output)
     return 0

@@ -29,8 +29,7 @@ only come from faulty bookkeeping, and it is the certificate's one failure.
 The slacks are the verdict, O(n) per level and O(n^2 + m) per graph.  A level
 whose degree equals the previous level's has the same excess, the same T_i
 and so the same slacks, and reuses them.  The float row sums
-(d_i + T_i / (phi + 1)) / x_i exist for ``replay``'s output and to word a
-violation.
+(d_i + T_i / (phi + 1)) / x_i exist for ``replay``'s output.
 """
 
 from __future__ import annotations
@@ -46,16 +45,11 @@ class CertificateViolationError(RuntimeError):
     """A row's slack is negative.  This would falsify the implementation
     (its bookkeeping), not the underlying mathematics."""
 
-    def __init__(self, level: int, row: int, slack: int, row_sum: float, bound: float):
-        super().__init__(
-            f"row {row} has slack {slack} < 0 (scaled sum {row_sum!r}, "
-            f"bound {bound!r}) at level {level}"
-        )
+    def __init__(self, level: int, row: int, slack: int):
+        super().__init__(f"row {row} has slack {slack} < 0 at level {level}")
         self.level = level
         self.row = row
         self.slack = slack
-        self.row_sum = row_sum
-        self.bound = bound
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,8 +58,7 @@ class ScalingCertificate:
 
     ``degrees`` and ``slacks`` are indexed in the relabeled (degree-sorted)
     vertex order; ``phi`` is phi_level and ``excess`` its integer excess E.
-    The float views ``x``, ``row_sums`` and ``max_row_sum`` are computed on
-    access.
+    The float views ``x`` and ``row_sums`` are computed on access.
     """
 
     level: int
@@ -73,13 +66,6 @@ class ScalingCertificate:
     slacks: tuple[int, ...]
     phi: float
     excess: int
-
-    @classmethod
-    def at_level(cls, seq: DegreeSequence, level: int, slacks, value: float) -> "ScalingCertificate":
-        """The certificate of ``seq`` at ``level`` from its slacks and phi_level."""
-        d = seq.degrees[level - 1]
-        excess = seq.prefix[level - 1] - (level - 1) * d
-        return cls(level, seq.degrees, tuple(slacks), value, excess)
 
     @property
     def x(self) -> tuple[float, ...]:
@@ -103,16 +89,11 @@ class ScalingCertificate:
             for d_i, slack, x_i in zip(self.degrees, self.slacks, x)
         ])
 
-    @property
-    def max_row_sum(self) -> float:
-        return max(self.row_sums)
-
     def violation(self) -> CertificateViolationError | None:
         """The first row with a negative slack, or None."""
         for row, slack in enumerate(self.slacks, start=1):
             if slack < 0:
-                return CertificateViolationError(
-                    self.level, row, slack, self.row_sums[row - 1], self.phi)
+                return CertificateViolationError(self.level, row, slack)
         return None
 
 
@@ -166,7 +147,8 @@ def row_sums_scaled(g: Graph, level: int) -> ScalingCertificate:
     """
     seq = DegreeSequence.from_degrees(map(len, g.neighbors))
     value = phi(seq, level)  # validates the level
-    cert = ScalingCertificate.at_level(seq, level, next(row_slacks(g, level)), value)
+    excess = seq.prefix[level - 1] - (level - 1) * seq.degrees[level - 1]
+    cert = ScalingCertificate(level, seq.degrees, tuple(next(row_slacks(g, level))), value, excess)
     exc = cert.violation()
     if exc is not None:
         raise exc

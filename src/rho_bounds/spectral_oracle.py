@@ -43,22 +43,19 @@ SOLVE_FACTOR = 100.0
 
 @dataclass(frozen=True, slots=True)
 class SpectralResult:
-    """Largest adjacency eigenvalue, convergence diagnostics, and proven
-    ends ``lo <= rho(A) <= hi`` around the float estimate ``rho``.
+    """Largest adjacency eigenvalue, an iteration count, and proven ends
+    ``lo <= rho(A) <= hi`` around the float estimate ``rho``.
 
-    For the Lanczos method ``iterations`` counts products with A,
-    ``residual`` is |A*y - rho*y|_inf / |y|_2 at the accepted Ritz vector y,
-    and (lo, hi) is y's Collatz-Wielandt bracket, or, when y is not
-    positive, its Rayleigh quotient and the largest Collatz-Wielandt
-    quotient of a positive vector grown from max(y, 0) (``_certified_ends``).
-    For the charpoly method they are
-    the root isolation's iterations, hi - lo, and the ends of its certified
-    bisection.
+    For the Lanczos method ``iterations`` counts products with A, and
+    (lo, hi) is the accepted Ritz vector y's Collatz-Wielandt bracket, or,
+    when y is not positive, its Rayleigh quotient and the largest
+    Collatz-Wielandt quotient of a positive vector grown from max(y, 0)
+    (``_certified_ends``).  For the charpoly method they are the root
+    isolation's iterations and the ends of its certified bisection.
     """
 
     rho: float
     iterations: int
-    residual: float
     lo: float
     hi: float
 
@@ -223,7 +220,7 @@ def _certified_ends(Y: list[int], AY: list[int], nbrs, target: float, budget: in
     return lo, math.nextafter(hi, math.inf), spent
 
 
-def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> SpectralResult:
+def spectral_radius_power(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue by Lanczos from the all-ones vector (the
     name predates Lanczos).
 
@@ -253,9 +250,9 @@ def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> 
     Perron vector, so the largest eigenvalue of A is in reach on a connected
     graph.  Memory is O(n + k): no basis is stored.
 
-    ``max_iterations`` caps the products with A over both passes, every
-    restart and the certified ends; ``iterations`` reports the products
-    used.
+    MAX_ITERATIONS, read at each call, caps the products with A over both
+    passes, every restart and the certified ends; ``iterations`` reports
+    the products used.
     """
     tol = TOLERANCES["power_residual"]
     nbrs = g.neighbors
@@ -266,9 +263,9 @@ def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> 
 
     def count_product():
         nonlocal products
-        if products == max_iterations:
+        if products == MAX_ITERATIONS:
             raise ConvergenceError(
-                f"Lanczos did not converge in {max_iterations} products with A "
+                f"Lanczos did not converge in {MAX_ITERATIONS} products with A "
                 f"(last estimate {theta})",
                 theta,
             )
@@ -331,8 +328,8 @@ def spectral_radius_power(g: Graph, *, max_iterations: int = MAX_ITERATIONS) -> 
         rho = math.fsum(map(mul, y, ay)) / yy
         residual = max([abs(ai - rho * yi) for ai, yi in zip(ay, y)]) / math.sqrt(yy)
         if residual <= tol:
-            lo, hi, spent = _certified_ends(Y, AY, nbrs, rho + tol, max_iterations - products)
-            return SpectralResult(rho, products + spent, residual, lo, hi)
+            lo, hi, spent = _certified_ends(Y, AY, nbrs, rho + tol, MAX_ITERATIONS - products)
+            return SpectralResult(rho, products + spent, lo, hi)
         theta, start = rho, y
 
 
@@ -483,12 +480,12 @@ def spectral_radius_charpoly(g: Graph) -> SpectralResult:
     certifies its ends by integer sign tests, falling back to these proven
     ends where a bracket around Newton's point fails, so the result is
     independent of the power method in both algorithm and arithmetic.
-    ``rho`` is the midpoint of the certified ends ``lo`` and ``hi`` and
-    ``residual`` their distance.  The root isolation is cached per process
-    under the exact key (characteristic polynomial, maximum degree); the
-    polynomial itself is computed for every graph.
+    ``rho`` is the midpoint of the certified ends ``lo`` and ``hi``.  The
+    root isolation is cached per process under the exact key
+    (characteristic polynomial, maximum degree); the polynomial itself is
+    computed for every graph.
     """
     coeffs = characteristic_polynomial(g)
     d1 = max((len(nb) for nb in g.neighbors), default=0)
     lo, hi, iterations = _cached_root(coeffs, d1)
-    return SpectralResult(0.5 * (lo + hi), iterations, hi - lo, lo, hi)
+    return SpectralResult(0.5 * (lo + hi), iterations, lo, hi)

@@ -249,8 +249,8 @@ class TestReplayCheck:
     def test_negative_slack(self):
         details, tight = _replay(Graph(3, ((1, 1, 2), (0, 0), (0,))))
         assert not tight
-        assert [d.split(" (")[0] for d in details] == [
-            "row 2 has slack -1 < 0", "row 1 has slack -1 < 0"]
+        assert details == [
+            "row 2 has slack -1 < 0 at level 2", "row 1 has slack -1 < 0 at level 3"]
 
     def test_negative_slack_under_forged_regular_certificate(self):
         # a level with a negative slack is never flat, so the one set
@@ -258,8 +258,8 @@ class TestReplayCheck:
         cert = EqualityCertificate(REGULAR, None, frozenset({1, 2, 3}))
         details, tight = _replay(Graph(3, ((1, 1, 2), (0, 0), (0,))), cert)
         assert not tight
-        assert [d.split(" (")[0] for d in details[:2]] == [
-            "row 2 has slack -1 < 0", "row 1 has slack -1 < 0"]
+        assert details[:2] == [
+            "row 2 has slack -1 < 0 at level 2", "row 1 has slack -1 < 0 at level 3"]
         assert details[2:] == [
             "predicted tight levels [1, 2, 3] (Regular) but the zero-slack levels are []"]
 
@@ -357,6 +357,15 @@ class TestExactVerdicts:
 
     def test_oracle_tight_when_enclosures_meet(self):
         assert _graph_check("oracle", self.P4) == ([], True)
+
+    def test_oracle_bracket_past_the_charpoly(self):
+        # n = 13 is past the charpoly, but [2m/n, d_1] = [24/13, 2] is
+        # still tested; the graph is never tight
+        path = gen_named("path", 13)
+        assert _graph_check("oracle", path) == ([], False)
+        details, tight = _graph_check("oracle", path, lo=1.5, hi=1.8)
+        assert details == [f"[1.5, 1.8] misses [{24 / 13!r}, 2]"]
+        assert not tight
 
 
 def test_pool_merges_violations_in_source_order(tmp_path, monkeypatch):
