@@ -118,7 +118,7 @@ class _CsvReport:
 
     def add_row(self, row) -> None:
         self.finish(None)  # the header, before the first row only
-        self._writer.writerow([_cell(v) for v in row])
+        self._writer.writerow(row)  # None as an empty field, a float as its repr
 
     def finish(self, result) -> None:
         if not self._started:

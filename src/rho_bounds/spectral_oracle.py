@@ -10,10 +10,11 @@ ends lo <= rho <= hi: exact sign tests for the charpoly, and for Lanczos the
 Collatz-Wielandt bracket of its Ritz vector (Collatz 1942; Wielandt 1950),
 from exact integer products.
 
-Lanczos keeps only the tridiagonal's coefficients and three vectors, so its
-memory is O(n + k) after k steps; the Ritz vector is summed in a second pass
-that regenerates the Lanczos vectors, and rho is accepted only on an
-explicit residual test.
+Lanczos keeps the tridiagonal's coefficients and its first
+max(1, KEPT_FLOATS // n) vectors, so its memory is O(n + k) after k steps
+plus a fixed KEPT_FLOATS floats; the Ritz vector is summed in a second pass
+from the kept vectors and regenerates only the rest, and rho is accepted
+only on an explicit residual test.
 
 The characteristic polynomial comes from Faddeev-LeVerrier with each matrix
 row packed into one Python integer of FIELD_BITS-bit signed fields; at
@@ -39,6 +40,9 @@ FIELD_BITS = 64
 #: Lanczos skips the solve of T_k at steps whose residual, predicted from
 #: the last step, is above this many 'power_residual' tolerances.
 SOLVE_FACTOR = 100.0
+#: Lanczos keeps its first max(1, KEPT_FLOATS // n) vectors for the Ritz
+#: pass and regenerates only the rest.
+KEPT_FLOATS = 1 << 13
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +50,8 @@ class SpectralResult:
     """Largest adjacency eigenvalue, an iteration count, and proven ends
     ``lo <= rho(A) <= hi`` around the float estimate ``rho``.
 
-    For the Lanczos method ``iterations`` counts products with A, and
+    For the Lanczos method ``iterations`` counts products with A (the
+    steps, the regenerated Lanczos vectors, A*y and the certified ends), and
     (lo, hi) is the accepted Ritz vector y's Collatz-Wielandt bracket, or,
     when y is not positive, its Rayleigh quotient and the largest
     Collatz-Wielandt quotient of a positive vector grown from max(y, 0)
@@ -240,24 +245,29 @@ def spectral_radius_power(g: Graph) -> SpectralResult:
     Newton needs a start close above the root, and a stale theta at large
     k costs O(k) passes.
 
-    A second pass regenerates q_1..q_k from the stored coefficients (the
-    same floats in the same order, so the same vectors) and sums the Ritz
-    vector y = sum s_j q_j, then A*Y in integers for Y = y*2^s, 2^-s the
-    smallest unit in y.  rho = y.Ay / y.y, every sum in it rounded once, is
-    accepted with the certified ends of ``_certified_ends`` (target rho +
+    The first pass keeps q_1..q_r, r = max(1, KEPT_FLOATS // n).  A second
+    pass sums the Ritz vector y = sum s_j q_j from them and regenerates
+    q_{r+1}..q_k from the last two kept vectors and the stored coefficients
+    (the same floats in the same order, so the same vectors, whatever the
+    budget), then forms A*Y in integers for Y = y*2^s, 2^-s the smallest
+    unit in y.  rho = y.Ay / y.y, every sum in it rounded once, is accepted
+    with the certified ends of ``_certified_ends`` (target rho +
     'power_residual') when the explicit residual |Ay - rho*y|_inf / |y|_2
-    is at most 'power_residual'; otherwise Lanczos restarts from y.  The all-ones start has positive overlap with the
-    Perron vector, so the largest eigenvalue of A is in reach on a connected
-    graph.  Memory is O(n + k): no basis is stored.
+    is at most 'power_residual'; otherwise Lanczos restarts from y, keeping
+    its vectors anew.  The all-ones start has positive overlap with the
+    Perron vector, so the largest eigenvalue of A is in reach on a
+    connected graph.  Memory is O(n + k) plus the KEPT_FLOATS floats of the
+    kept vectors (about 256 KiB as Python floats).
 
-    MAX_ITERATIONS, read at each call, caps the products with A over both
-    passes, every restart and the certified ends; ``iterations`` reports
-    the products used.
+    MAX_ITERATIONS, read at each call, caps the products with A: the
+    steps, the regenerated vectors, A*Y, every restart and the certified
+    ends; ``iterations`` reports the products used.
     """
     tol = TOLERANCES["power_residual"]
     nbrs = g.neighbors
     zeros = [0.0] * g.n
     start = [1.0] * g.n
+    keep = max(1, KEPT_FLOATS // g.n)
     products = 0
     theta = 0.0
 
@@ -273,7 +283,8 @@ def spectral_radius_power(g: Graph) -> SpectralResult:
 
     while True:
         scale = math.sqrt(math.fsum([x * x for x in start]))
-        first = q = [x / scale for x in start]
+        q = [x / scale for x in start]
+        kept = [q]
         q_prev, beta_prev = zeros, 0.0
         alphas: list[float] = []
         betas: list[float] = []
@@ -308,13 +319,19 @@ def spectral_radius_power(g: Graph) -> SpectralResult:
             betas.append(beta)
             beta2.append(beta * beta)
             q_prev, q, beta_prev = q, [wi / beta for wi in w], beta
+            if len(kept) < keep:
+                kept.append(q)
         s = _ritz_coefficients(alphas, beta2, betas, theta)
-        q, q_prev, beta_prev = first, zeros, 0.0
+        q, q_prev, beta_prev = kept[0], zeros, 0.0
         y = [s[0] * qi for qi in q]
-        for sj, alpha, beta in zip(islice(s, 1, None), alphas, betas):
-            count_product()
-            w, _ = _product(nbrs, q, q_prev, beta_prev)
-            q_prev, q, beta_prev = q, [(wi - alpha * qi) / beta for wi, qi in zip(w, q)], beta
+        for j, (sj, alpha, beta) in enumerate(zip(islice(s, 1, None), alphas, betas), 1):
+            if j < len(kept):
+                q_next = kept[j]
+            else:
+                count_product()
+                w, _ = _product(nbrs, q, q_prev, beta_prev)
+                q_next = [(wi - alpha * qi) / beta for wi, qi in zip(w, q)]
+            q_prev, q, beta_prev = q, q_next, beta
             y = [yi + sj * qi for yi, qi in zip(y, q)]
         count_product()
         # A*Y exact; every entry of A*y and both dot products rounded once

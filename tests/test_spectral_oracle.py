@@ -61,14 +61,15 @@ class TestPowerIteration:
         res = spectral_radius_power(Graph.from_edges(1, []))
         assert res.rho == 0.0
 
-    def test_residual_within_tolerance(self):
+    def test_residual_within_tolerance(self, monkeypatch):
         rng = random.Random(4242)
         graphs = [gen_named("path", 7), gen_named("cycle", 6), gen_named("star", 9)]
         graphs += [g for n in range(1, 6) for g in enumerate_connected(n)]
         graphs += [random_tree(rng, n) for n in (7, 30, 120)]
         graphs += [random_connected_graph(rng, n, 0.3) for n in (13, 40)]
+        graphs += [gen_named("path", 700)]
         for g in graphs:
-            res = spectral_radius_power(g)
+            res, none_kept, all_kept = _under_budgets(monkeypatch, g)
             # an accepted residual |Ay - rho y|_inf / |y|_2 <= tol puts an
             # eigenvalue of the symmetric A, here the largest, within
             # sqrt(n) * tol of rho
@@ -76,8 +77,13 @@ class TestPowerIteration:
                 near = math.sqrt(g.n) * TOLERANCES["power_residual"]
                 cp = spectral_radius_charpoly(g)
                 assert cp.lo - near <= res.rho <= cp.hi + near
-            # one product for each step, each regenerated vector and A*y
-            assert res.iterations >= 2 and res.iterations % 2 == 0
+            # one product for each of the k steps, each regenerated vector
+            # and A*y: a budget of 0 regenerates q_2..q_k, the default all
+            # but the first r
+            k = none_kept.iterations - all_kept.iterations + 1
+            r = max(1, BUDGETS[0] // g.n)
+            assert all_kept.iterations == k + 1
+            assert res.iterations - all_kept.iterations == max(0, k - r)
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(spectral_oracle, "MAX_ITERATIONS", 2)
@@ -173,6 +179,37 @@ def _mask_sample(n, count, seed):
     raise AssertionError("sample too small")
 
 
+#: Budgets of kept Lanczos floats: the default, none (every vector after
+#: q_1 regenerated) and unbounded (none regenerated).
+BUDGETS = (spectral_oracle.KEPT_FLOATS, 0, 1 << 40)
+
+
+def _under_budgets(monkeypatch, g):
+    """``spectral_radius_power(g)`` under each of BUDGETS, in that order."""
+    results = []
+    for budget in BUDGETS:
+        monkeypatch.setattr(spectral_oracle, "KEPT_FLOATS", budget)
+        results.append(spectral_radius_power(g))
+    return results
+
+
+def _forced_restart(monkeypatch, g, head=(1.0,)):
+    """``spectral_radius_power(g)`` with the first run's Ritz coefficients
+    replaced by ``head`` and zeros, by default y = q_1, the normalized
+    start: its explicit residual fails, and Lanczos restarts from y."""
+    calls = []
+
+    def first_vector_once(alphas, beta2, betas, theta):
+        s = _ritz_coefficients(alphas, beta2, betas, theta)
+        calls.append(len(s))
+        return s if len(calls) > 1 else [*head] + [0.0] * (len(s) - len(head))
+
+    monkeypatch.setattr(spectral_oracle, "_ritz_coefficients", first_vector_once)
+    res = spectral_radius_power(g)
+    assert len(calls) == 2
+    return res
+
+
 class TestLanczos:
     """Properties of the Lanczos oracle against closed forms and the
     independent charpoly oracle."""
@@ -211,23 +248,42 @@ class TestLanczos:
             assert 16 / 9 - 1e-12 <= estimate <= 2 * math.cos(math.pi / 10)
 
     def test_restart_from_a_poor_ritz_vector(self, monkeypatch):
-        # the first run's Ritz vector is replaced by q_1, the normalized
-        # start: its explicit residual fails, and Lanczos restarts from it
         g = random_tree(random.Random(99), 40)
         clean = spectral_radius_power(g)
-        calls = []
-
-        def first_vector_once(alphas, beta2, betas, theta):
-            s = _ritz_coefficients(alphas, beta2, betas, theta)
-            calls.append(len(s))
-            return s if len(calls) > 1 else [1.0] + [0.0] * (len(s) - 1)
-
-        monkeypatch.setattr(spectral_oracle, "_ritz_coefficients", first_vector_once)
-        res = spectral_radius_power(g)
-        assert len(calls) == 2
+        res = _forced_restart(monkeypatch, g)
         assert res.iterations > clean.iterations
         assert res.lo <= res.rho <= res.hi
         assert abs(res.rho - clean.rho) <= 1e-12
+
+    @pytest.mark.parametrize("graphs", [
+        lambda: [g for n in range(1, 6) for g in enumerate_connected(n)],
+        lambda: [random_tree(random.Random(18), n) for n in (30, 120)],
+        lambda: [random_connected_graph(random.Random(18), n, 0.3) for n in (13, 40)],
+        lambda: [gen_named("path", 700)],
+        lambda: [lollipop(10, 50), lollipop(5, 300)],
+    ], ids=["n<=5", "trees", "gnp", "path700", "lollipops"])
+    def test_kept_and_regenerated_vectors_agree(self, graphs, monkeypatch):
+        # the kept vectors are the floats that regeneration recomputes, so
+        # the budget moves only the product count
+        for g in graphs():
+            results = _under_budgets(monkeypatch, g)
+            assert len({(r.rho.hex(), r.lo.hex(), r.hi.hex()) for r in results}) == 1
+            default, none_kept, all_kept = results
+            if none_kept.iterations > all_kept.iterations:  # k > 1
+                assert default.iterations < none_kept.iterations
+
+    @pytest.mark.parametrize("head", [(1.0,), (1.0, 1.0)], ids=["q1", "q1+q2"])
+    def test_restart_keeps_vectors_anew(self, head, monkeypatch):
+        # restarting from q_1 rebuilds the first run's vectors; from
+        # q_1 + q_2 it builds new ones, which the kept list must hold
+        g = random_tree(random.Random(99), 40)
+        outcomes = set()
+        for budget in BUDGETS:
+            monkeypatch.setattr(spectral_oracle, "KEPT_FLOATS", budget)
+            res = _forced_restart(monkeypatch, g, head)
+            outcomes.add((res.rho.hex(), res.lo.hex(), res.hi.hex()))
+        assert len(outcomes) == 1
+        assert abs(res.rho - spectral_radius_power(g).rho) <= 1e-12
 
     def test_memory_is_linear(self):
         # a stored basis would hold about n/2 vectors of n floats (about
