@@ -37,14 +37,12 @@ def _prefix_bound(d: int, excess: int) -> float:
 def phi(seq: DegreeSequence, level: int) -> float:
     """Degree-prefix bound at a level: uses the top ``level`` degrees.
 
-    The excess sum over the prefix, sum_{i<level} (d_i - d_level), equals
-    prefix[level-1] - (level-1)*d_level and is kept integral, so the only
-    rounding is the single square root.  At level 1 the sum is empty and
-    phi equals the maximum degree.
+    The float rounding of :func:`phi_surd`, whose integers are exact, so the
+    only rounding is the single square root.  At level 1 the excess is empty
+    and phi equals the maximum degree.
     """
-    _check_level(seq, level)
-    d = seq.degrees[level - 1]
-    return _prefix_bound(d, seq.prefix[level - 1] - (level - 1) * d)
+    a, b = phi_surd(seq, level)
+    return (a + math.sqrt(b)) / 2
 
 
 def bound_shu_wu(seq: DegreeSequence, level: int) -> float:
@@ -93,42 +91,50 @@ def bound_max_degree(seq: DegreeSequence) -> float:
 
 
 def phi_surd(seq: DegreeSequence, level: int) -> tuple[int, int]:
-    """phi at a level as the exact surd pair (a, b), phi = (a + sqrt(b))/2."""
+    """phi at a level as the exact surd pair (a, b), phi = (a + sqrt(b))/2.
+
+    a = d_level - 1 and b = (d_level + 1)^2 + 4E, where the excess
+    E = sum_{i<level} (d_i - d_level) = prefix[level-1] - (level-1)*d_level.
+    """
+    _check_level(seq, level)
     d = seq.degrees[level - 1]
     excess = seq.prefix[level - 1] - (level - 1) * d
     return d - 1, (d + 1) * (d + 1) + 4 * excess
 
 
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def surd_sign(p: int, q: int, r: int) -> int:
+    """Exact sign of p + q*sqrt(r) for integers with r >= 0: 1, 0 or -1.
+
+    Equal or zero signs of the two terms decide; opposite signs compare
+    p^2 with q^2 * r.
+    """
+    if r < 0:
+        raise ValueError(f"radicand must be nonnegative, got {r}")
+    s, t = _sign(p), _sign(q) if r else 0
+    if s * t >= 0:
+        return s or t
+    return s * _sign(p * p - q * q * r)
+
+
 def compare_half_surds(a1: int, b1: int, a2: int, b2: int) -> int:
     """Exact sign of (a1 + sqrt(b1))/2 - (a2 + sqrt(b2))/2 for integers.
 
-    Requires b1, b2 >= 0.  Returns 1, 0, or -1.  A dyadic x = p/q compares
-    with (a + sqrt(b))/2 as ``compare_half_surds(2p, 0, q*a, q*q*b)``.
+    Requires b1, b2 >= 0.  Returns 1, 0, or -1.  With d = a1 - a2 and
+    u = d + sqrt(b1), the sign is that of u - sqrt(b2): u <= 0 decides (0
+    only when u = 0 and b2 = 0), and otherwise it is the sign of
+    u^2 - b2 = (d^2 + b1 - b2) + 2d*sqrt(b1).
     """
-    if b1 < 0 or b2 < 0:
-        raise ValueError("radicands must be nonnegative")
+    if b2 < 0:
+        raise ValueError(f"radicand must be nonnegative, got {b2}")
     d = a1 - a2
-    # sign of d + sqrt(b1) - sqrt(b2)
-    if d >= 0:
-        # d + sqrt(b1) >= 0: compare squares of (d + sqrt(b1)) and sqrt(b2),
-        # i.e. the sign of e + 2d*sqrt(b1) with e below
-        e = d * d + b1 - b2
-        if e >= 0:
-            return 0 if (e == 0 and d * d * b1 == 0) else 1
-        # e < 0: sign of 2d*sqrt(b1) - |e|
-        lhs = 4 * d * d * b1
-        rhs = e * e
-        return 1 if lhs > rhs else (0 if lhs == rhs else -1)
-    # d < 0
-    if b1 <= d * d:
-        # d + sqrt(b1) <= 0 <= sqrt(b2)
-        return 0 if (b1 == d * d and b2 == 0) else -1
-    e = d * d + b1 - b2
-    if e <= 0:
-        return -1
-    lhs = e * e
-    rhs = 4 * d * d * b1
-    return 1 if lhs > rhs else (0 if lhs == rhs else -1)
+    u = surd_sign(d, 1, b1)
+    if u <= 0:
+        return -1 if u or b2 else 0
+    return surd_sign(d * d + b1 - b2, 2 * d, b1)
 
 
 def compare_step(seq: DegreeSequence, s: int) -> int:
@@ -142,9 +148,7 @@ def compare_step(seq: DegreeSequence, s: int) -> int:
         raise ValueError(f"step index {s} out of range 1..{seq.n - 1}")
     if seq.degrees[s - 1] == seq.degrees[s]:
         return EQUAL
-    lhs = seq.prefix[s]
-    rhs = s * (s - 1)
-    return GREATER if lhs > rhs else (EQUAL if lhs == rhs else LESS)
+    return _sign(seq.prefix[s] - s * (s - 1))
 
 
 @dataclass(frozen=True, slots=True)

@@ -54,16 +54,10 @@ def _print_doc(doc: dict, output: str) -> None:
         print(json.dumps(doc))
         return
     for key, value in doc.items():
-        text = f"({', '.join(map(repr, value))})" if isinstance(value, tuple) else _cell(value)
+        # str() of a float is its repr
+        text = (f"({', '.join(map(repr, value))})" if isinstance(value, tuple)
+                else "" if value is None else str(value))
         print(f"{key}: {text}" if text else f"{key}:")
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # ---------------------------------------------------------------------------

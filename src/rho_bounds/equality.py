@@ -4,9 +4,11 @@ For a connected graph, phi_l equals the spectral radius iff the graph is
 regular or there is a t <= l with the top t-1 degrees equal to n-1 and the
 remaining degrees all equal.  Both conditions are pure integer tests on the
 degree sequence, so classification is exact.  The campaign's equality
-check tests a prediction against certified ends of the spectral radius;
-``tight_levels``, the float tight set at a given tolerance, is for callers
-that hold only a float estimate of rho.
+check tests a prediction against certified ends of the spectral radius.
+``tight_levels``, the float tight set at a given tolerance, has two callers,
+the benchmark's per-layer trace (``perfbench/layers.py``) and the tests'
+``check_equality_numeric``; the next benchmark change deletes it
+(ROADMAP item 1).
 """
 
 from __future__ import annotations

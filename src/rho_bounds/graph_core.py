@@ -125,8 +125,11 @@ _NONZERO_RUN = re.compile(b"[^\0]+")
 _PIECE = 1 << 16  # body characters decoded at once: whole 4-character groups
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 record.  Trailing whitespace/newline is tolerated."""
+def check_graph6(text: str) -> tuple[str, int, int, int]:
+    """The header, length and byte-range checks of one graph6 record, which
+    raise GraphParseError.  Trailing whitespace/newline is tolerated.
+    Returns the record past any ``>>graph6<<`` prefix, the index of its
+    first data byte, its vertex count n and its n(n-1)/2 bits."""
     s = text.rstrip("\r\n \t")
     base = 0
     if s.startswith(">>graph6<<"):
@@ -166,6 +169,12 @@ def parse_graph6(text: str) -> Graph:
         )
     if bad := _NOT_G6.search(s, data_start):
         raise GraphParseError(f"invalid data byte {ord(bad[0])}", base + bad.start())
+    return s, data_start, n, nbits
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 record that passes :func:`check_graph6`."""
+    s, data_start, n, nbits = check_graph6(text)
     adj: list[list[int]] = [[] for _ in range(n)]
     j, column = 1, 0  # bits column .. column + j - 1 are the pairs (i, j), i < j
     # the field is decoded a piece at a time and walked by its runs of

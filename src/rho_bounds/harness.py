@@ -16,13 +16,14 @@ import time
 from dataclasses import dataclass, field
 
 from .bounds import (
-    GREATER, LESS, BoundReport, bound_report, compare_half_surds, compare_step, phi_surd,
+    GREATER, LESS, BoundReport, bound_report, compare_step, phi_surd, surd_sign,
 )
 from .graph_core import (
     DegreeSequence,
     Graph,
     GraphParseError,
     check_enumeration_n,
+    check_graph6,
     encode_graph6,
     enumerate_connected,
     enumeration_space,
@@ -57,10 +58,11 @@ _FILE_CHUNK = 5000
 # ---------------------------------------------------------------------------
 
 def _end_vs_phi(x: float, surd: tuple[int, int]) -> int:
-    """Exact sign of x - phi for a float x and phi = (a + sqrt(b))/2."""
+    """Exact sign of x - phi for a float x and phi = (a + sqrt(b))/2: with
+    x = p/q and q > 0, the sign of (2p - q*a) - q*sqrt(b)."""
     p, q = x.as_integer_ratio()
     a, b = surd
-    return compare_half_surds(2 * p, 0, q * a, q * q * b)
+    return surd_sign(2 * p - q * a, -q, b)
 
 
 def _soundness(g, seq, report, spec):
@@ -79,9 +81,9 @@ def _soundness(g, seq, report, spec):
 
 
 def _dominance(seq, report):
-    # phi_l and shu_wu_l (and phi_n and hong_shu_fang) are one monotone
-    # bounds._prefix_bound of one d and an integer excess each, so the
-    # floats are ordered as the excesses are; the radicand is below
+    # phi_l and shu_wu_l (and phi_n and hong_shu_fang) are each the monotone
+    # (d - 1 + sqrt((d + 1)^2 + 4E))/2 of one d and an integer excess E, so
+    # the floats are ordered as the excesses are; the radicand is below
     # 5n^2 < 2^39 for every graph verify reads, where distinct excesses
     # round apart, so equal floats mean equal excesses
     details = []
@@ -336,7 +338,8 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict):
 
 def _chunks(cfg: CampaignConfig) -> list[tuple]:
     """Split the source into picklable chunks: ("enumerate", (n, start, stop)),
-    ("graph6", (first_record, lines)) or ("edgelist", text)."""
+    ("graph6", lines) or ("edgelist", text).  Every graph6 record is checked
+    here, before any chunk runs, so a bad one leaves no report behind."""
     if cfg.source == "enumerate":
         total = enumeration_space(cfg.n)
         return [
@@ -347,8 +350,13 @@ def _chunks(cfg: CampaignConfig) -> list[tuple]:
     if cfg.source == "edgelist":
         return [("edgelist", text)]
     records = graph6_records(text)
+    for number, record in enumerate(records, start=1):
+        try:
+            check_graph6(record)
+        except GraphParseError as exc:
+            raise GraphParseError(f"record {number}: {exc}") from exc
     return [
-        ("graph6", (start + 1, records[start:start + _FILE_CHUNK]))
+        ("graph6", records[start:start + _FILE_CHUNK])
         for start in range(0, max(len(records), 1), _FILE_CHUNK)
     ]
 
@@ -359,12 +367,7 @@ def _chunk_graphs(kind: str, payload):
         n, start, stop = payload
         yield from enumerate_connected(n, mask_range=(start, stop))
     elif kind == "graph6":
-        first_record, lines = payload
-        for record, line in enumerate(lines, start=first_record):
-            try:
-                yield parse_graph6(line)
-            except GraphParseError as exc:
-                raise GraphParseError(f"record {record}: {exc}") from exc
+        yield from map(parse_graph6, payload)
     else:
         yield parse_edge_list(payload)
 

@@ -36,7 +36,7 @@ from rho_bounds import (
     phi_sequence,
     spectral_radius_power,
 )
-from rho_bounds.bounds import compare_half_surds
+from rho_bounds.bounds import compare_half_surds, surd_sign
 from rho_bounds.harness import report_row
 
 
@@ -343,6 +343,39 @@ class TestSurdComparator:
                         assert compare_half_surds(a1, b1, a2, b2) == expected, (
                             (a1, b1, a2, b2)
                         )
+
+
+class TestSurdSign:
+    def test_against_high_precision(self):
+        from decimal import Decimal, getcontext
+
+        getcontext().prec = 60
+        for p in range(-6, 7):
+            for q in range(-6, 7):
+                for r in range(0, 41):
+                    value = Decimal(p) + Decimal(q) * Decimal(r).sqrt()
+                    expected = 0 if abs(value) < Decimal("1e-40") else (1 if value > 0 else -1)
+                    assert surd_sign(p, q, r) == expected, (p, q, r)
+
+    def test_negative_radicand(self):
+        with pytest.raises(ValueError, match="radicand"):
+            surd_sign(0, 0, -1)
+
+    @pytest.mark.parametrize("q, r", [(3, 2**258 + 12345), (-7, 2**258 + 1), (5, 2**258)],
+                             ids=["q3", "q-7", "square"])
+    def test_near_ties_at_2_130(self, q, r):
+        # |q|sqrt(r) lies in [s, s + 1) for s = isqrt(q^2 r), and equals s
+        # only on a perfect square: p = -sign(q)(s + delta) puts p + q sqrt(r)
+        # just below, at or just above zero, far past float resolution
+        s = math.isqrt(q * q * r)
+        exact = s * s == q * q * r
+        sign_q = 1 if q > 0 else -1
+        for delta in (-1, 0, 1):
+            # the sign of |p| - |q|sqrt(r): delta's, except that delta = 0
+            # is below |q|sqrt(r) off a perfect square
+            below = delta if exact or delta else -1
+            assert surd_sign(-sign_q * (s + delta), q, r) == -sign_q * below, delta
+            assert surd_sign(sign_q * (s + delta), q, r) == sign_q, delta
 
 
 class TestGraphical:

@@ -321,6 +321,17 @@ class TestVerify:
         assert "error" in captured.err
 
     @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_bad_record_past_the_first_chunk(self, output, tmp_path, capsys):
+        # record 5,001 opens the second file chunk; it is checked with all
+        # the others before any chunk runs, so no row reaches stdout
+        path = tmp_path / "late.g6"
+        path.write_text("C~\n" * 5000 + "Dx!\n")
+        assert run(["verify", "--input", str(path), "--output", output]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "record 5001" in captured.err
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
     def test_edge_list_vertex_limit(self, output, tmp_path, capsys):
         path = tmp_path / "huge.el"
         path.write_text("1000000000\n0 1\n")

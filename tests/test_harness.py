@@ -28,6 +28,7 @@ from rho_bounds import (
     run_campaign,
     spectral_radius_power,
 )
+from rho_bounds.bounds import compare_half_surds, phi_surd
 from rho_bounds.graph_core import enumeration_space
 
 from conftest import examine_graph_reference, lollipop, run_chunk_reference
@@ -368,6 +369,36 @@ class TestExactVerdicts:
         assert not tight
 
 
+class TestEndVsPhi:
+    """``_end_vs_phi`` is the one sign of (2p - q*a) - q*sqrt(b); it agrees
+    with padding x = p/q into the surd (2p, 0) and comparing half-surds."""
+
+    @staticmethod
+    def padded(x, surd):
+        p, q = x.as_integer_ratio()
+        a, b = surd
+        return compare_half_surds(2 * p, 0, q * a, q * q * b)
+
+    def test_certified_ends_through_n5(self):
+        for n in range(1, 6):
+            for g in enumerate_connected(n):
+                seq = degree_sequence(g)
+                spec = spectral_radius_power(g)
+                for level in range(1, n + 1):
+                    surd = phi_surd(seq, level)
+                    for x in (spec.lo, spec.hi):
+                        assert harness._end_vs_phi(x, surd) == self.padded(x, surd), (
+                            encode_graph6(g), level, x)
+
+    def test_neighbours_of_an_integral_phi(self):
+        # phi_4 of (4, 3, 3, 2, 1, 1) is (1 + sqrt(25))/2 = 3 exactly
+        surd = phi_surd(DegreeSequence.from_degrees((4, 3, 3, 2, 1, 1)), 4)
+        assert surd == (1, 25)
+        for x, expected in ((math.nextafter(3.0, 0.0), -1), (3.0, 0),
+                            (math.nextafter(3.0, math.inf), 1)):
+            assert harness._end_vs_phi(x, surd) == self.padded(x, surd) == expected
+
+
 def test_pool_merges_violations_in_source_order(tmp_path, monkeypatch):
     # a check that flags the graphs with an odd edge count, merged from
     # eight file chunks by a pool of two and by the serial loop
@@ -460,7 +491,7 @@ class TestSequenceMemo:
         expected = [examine_graph_reference(g, CHECKS) for g in graphs]
         for ident, (_, violations, _) in zip(ids, expected):
             assert violations and {gid for gid, _, _ in violations} == {ident}
-        chunk = ("graph6", (1, ids))
+        chunk = ("graph6", ids)
         assert harness._run_chunk(CHECKS, chunk) == run_chunk_reference(CHECKS, chunk)
 
         path, star = (2, 2, 1, 1), (3, 1, 1, 1)

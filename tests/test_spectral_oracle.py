@@ -287,7 +287,9 @@ class TestLanczos:
 
     def test_memory_is_linear(self):
         # a stored basis would hold about n/2 vectors of n floats (about
-        # 8 MB here); three vectors and the tridiagonal take well under 1 MB
+        # 8 MB here).  The bound covers the three working vectors, the
+        # tridiagonal and the first KEPT_FLOATS // n = 11 kept vectors: a
+        # peak near 560 KB, so the margin to 1 MB is under 2x
         g = gen_named("path", 700)
         tracemalloc.start()
         try:
