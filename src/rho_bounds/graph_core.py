@@ -130,11 +130,7 @@ def check_graph6(text: str) -> tuple[str, int, int, int]:
     raise GraphParseError.  Trailing whitespace/newline is tolerated.
     Returns the record past any ``>>graph6<<`` prefix, the index of its
     first data byte, its vertex count n and its n(n-1)/2 bits."""
-    s = text.rstrip("\r\n \t")
-    base = 0
-    if s.startswith(">>graph6<<"):
-        base = 10
-        s = s[10:]
+    s, base = _strip_record(text)
     if not s:
         raise GraphParseError("empty graph6 record", base)
     if s[0] == ":":
@@ -148,10 +144,7 @@ def check_graph6(text: str) -> tuple[str, int, int, int]:
         raise GraphParseError("truncated extended header", base + len(s))
     if bad := _NOT_G6.search(s, 0, data_start):
         raise GraphParseError(f"invalid header byte {ord(bad[0])}", base + bad.start())
-    n = 0
-    for ch in s[1:4] if data_start == 4 else s[0]:
-        n = n << 6 | ord(ch) - 63
-
+    n = _order(s, data_start)
     if n == 0:
         raise GraphParseError("graph6 record encodes zero vertices", base)
     nbits = n * (n - 1) // 2
@@ -172,9 +165,38 @@ def check_graph6(text: str) -> tuple[str, int, int, int]:
     return s, data_start, n, nbits
 
 
+def _strip_record(text: str) -> tuple[str, int]:
+    """The record without trailing whitespace and any ``>>graph6<<`` prefix,
+    and the prefix's length."""
+    s = text.rstrip("\r\n \t")
+    return (s[10:], 10) if s.startswith(">>graph6<<") else (s, 0)
+
+
+def _order(s: str, data_start: int) -> int:
+    """The vertex count n in a stripped record's header."""
+    n = 0
+    for ch in s[1:4] if data_start == 4 else s[0]:
+        n = n << 6 | ord(ch) - 63
+    return n
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 record that passes :func:`check_graph6`."""
-    s, data_start, n, nbits = check_graph6(text)
+    return _decode(*check_graph6(text))
+
+
+def decode_graph6(text: str) -> Graph:
+    """Decode one graph6 record that has already passed :func:`check_graph6`,
+    without checking it again; any other record gives an arbitrary graph
+    or error."""
+    s, _ = _strip_record(text)
+    data_start = 4 if s[0] == "~" else 1
+    n = _order(s, data_start)
+    return _decode(s, data_start, n, n * (n - 1) // 2)
+
+
+def _decode(s: str, data_start: int, n: int, nbits: int) -> Graph:
+    """The graph of a checked, stripped record (see :func:`check_graph6`)."""
     adj: list[list[int]] = [[] for _ in range(n)]
     j, column = 1, 0  # bits column .. column + j - 1 are the pairs (i, j), i < j
     # the field is decoded a piece at a time and walked by its runs of

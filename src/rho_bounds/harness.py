@@ -24,13 +24,13 @@ from .graph_core import (
     GraphParseError,
     check_enumeration_n,
     check_graph6,
+    decode_graph6,
     encode_graph6,
     enumerate_connected,
     enumeration_space,
     graph6_records,
     is_connected,
     parse_edge_list,
-    parse_graph6,
     read_input,
 )
 from .proof_replay import CertificateViolationError, row_slacks
@@ -194,11 +194,12 @@ def _replay(g, seq, report, spec):
     return details, bool(flat)
 
 
-def _oracle(g, seq, report, spec):
+def _oracle(g, seq, report, spec, cp=None):
+    # cp: the charpoly's enclosure where the caller holds it
     details = []
     meet = False
     if seq.n <= CHARPOLY_MAX_N:
-        cp = spectral_radius_charpoly(g)
+        cp = cp or spectral_radius_charpoly(g)
         meet = cp.lo <= spec.hi and spec.lo <= cp.hi
         if not meet:
             details.append(f"Lanczos [{spec.lo!r}, {spec.hi!r}] and charpoly "
@@ -291,14 +292,32 @@ _SEEN = object()
 
 def _sequence_entry(degrees: tuple[int, ...], checks: tuple[str, ...]) -> tuple:
     """The part of every check that depends only on the degree sequence:
-    (seq, report, {sequence check name: (details, tight)})."""
+    (seq, report, {sequence check name: (details, tight)}, classes), where
+    ``classes`` is an empty dict for the per-class results of the graphs
+    with this sequence, or None where no enabled check has one."""
     seq = DegreeSequence.from_degrees(degrees)
     report = bound_report(seq)
     results = {
         name: check(seq, report)
         for name, check in _SEQUENCE_CHECKS.items() if name in checks
     }
-    return seq, report, results
+    per_class = "replay" in checks or "oracle" in checks and seq.n <= CHARPOLY_MAX_N
+    return seq, report, results, {} if per_class else None
+
+
+def _class_key(g: Graph) -> tuple:
+    """An isomorphic copy of ``g``: its vertices ordered by (degree, sorted
+    neighbour degrees), ties by label, and the copy's sorted neighbour
+    tuples in that order.  Equal keys are relabelings of one graph, so
+    their graphs are isomorphic; isomorphic graphs may still differ."""
+    neighbors = g.neighbors
+    degree = list(map(len, neighbors)).__getitem__
+    signature = [(len(nb), sorted(map(degree, nb))) for nb in neighbors]
+    order = sorted(range(g.n), key=signature.__getitem__)
+    position = [0] * g.n
+    for i, v in enumerate(order):
+        position[v] = i
+    return tuple([tuple(sorted(map(position.__getitem__, neighbors[v]))) for v in order])
 
 
 def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict):
@@ -307,24 +326,40 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict):
     ``memo`` maps sorted degree tuples to ``_sequence_entry`` results for
     one chunk, whose checks are fixed.  A sequence's first
     sighting stores only ``_SEEN``, and its second the entry, so a corpus
-    of distinct sequences holds no reports.  Returns (row, violations,
-    names of checks tight here).
+    of distinct sequences holds no reports.  From a sequence's second
+    sighting on, each graph's ``_class_key`` also indexes the entry's
+    classes, which keep what is exact for an isomorphism class: the
+    charpoly's enclosure, and a replay outcome with no details (a
+    violation names a row of its own labeling, so it is never reused).
+    Lanczos, the id, soundness, equality and the oracle's comparisons run
+    on every graph.  Returns
+    (row, violations, names of checks tight here).
     """
     degrees = tuple(sorted(map(len, g.neighbors), reverse=True))
     entry = memo.get(degrees)
+    seen = entry is not None
     if entry is None or entry is _SEEN:
         fresh = _sequence_entry(degrees, checks)
-        memo[degrees] = _SEEN if entry is None else fresh
+        memo[degrees] = fresh if seen else _SEEN
         entry = fresh
-    seq, report, sequence_results = entry
+    seq, report, sequence_results, classes = entry
+    # a new degree tuple has no isomorph earlier in the chunk
+    known = classes.setdefault(_class_key(g), {}) if seen and classes is not None else {}
     spec = spectral_radius_power(g)
     ident = encode_graph6(g)
     violations = []
     tight = []
     for name in checks:
-        outcome = sequence_results.get(name)
+        outcome = sequence_results.get(name) or known.get(name)
         if outcome is None:
-            outcome = _GRAPH_CHECKS[name](g, seq, report, spec)
+            if name == "oracle" and seq.n <= CHARPOLY_MAX_N:
+                if "charpoly" not in known:
+                    known["charpoly"] = spectral_radius_charpoly(g)
+                outcome = _GRAPH_CHECKS[name](g, seq, report, spec, known["charpoly"])
+            else:
+                outcome = _GRAPH_CHECKS[name](g, seq, report, spec)
+            if name == "replay" and not outcome[0]:
+                known[name] = outcome
         details, is_tight = outcome
         violations.extend((ident, name, detail) for detail in details)
         if is_tight:
@@ -339,7 +374,8 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict):
 def _chunks(cfg: CampaignConfig) -> list[tuple]:
     """Split the source into picklable chunks: ("enumerate", (n, start, stop)),
     ("graph6", lines) or ("edgelist", text).  Every graph6 record is checked
-    here, before any chunk runs, so a bad one leaves no report behind."""
+    here, before any chunk runs, so a bad one leaves no report behind, and
+    the chunks decode without checking again."""
     if cfg.source == "enumerate":
         total = enumeration_space(cfg.n)
         return [
@@ -367,7 +403,7 @@ def _chunk_graphs(kind: str, payload):
         n, start, stop = payload
         yield from enumerate_connected(n, mask_range=(start, stop))
     elif kind == "graph6":
-        yield from map(parse_graph6, payload)
+        yield from map(decode_graph6, payload)  # checked by _chunks
     else:
         yield parse_edge_list(payload)
 

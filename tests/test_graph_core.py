@@ -166,6 +166,20 @@ class TestGraph6AgainstBitLoops:
         errors = {" ".join(o[0].split()[:3]) for o in outcomes if not isinstance(o, Graph)}
         assert len(errors) == 10 and sum(isinstance(o, Graph) for o in outcomes) > 2000
 
+    def test_decode_matches_parse_on_checked_records(self):
+        # the campaign's workers decode records the parent has checked
+        rng = random.Random(20001)
+        checked = []
+        for record in _fuzzed_records(rng, 5000):
+            try:
+                graph_core.check_graph6(record)
+            except GraphParseError:
+                continue
+            checked.append(record)
+        assert len(checked) > 500
+        for record in checked:
+            assert graph_core.decode_graph6(record) == parse_graph6(record)
+
     def test_nonzero_padding_ignored(self):
         rng = random.Random(3)
         for n in range(2, 40):

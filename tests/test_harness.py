@@ -1,6 +1,7 @@
 import itertools
 import math
 import multiprocessing
+import random
 import tracemalloc
 
 import pytest
@@ -20,6 +21,7 @@ from rho_bounds import (
     GraphParseError,
     NONE,
     REGULAR,
+    SpectralResult,
     bound_report,
     degree_sequence,
     encode_graph6,
@@ -502,6 +504,102 @@ class TestSequenceMemo:
             assert memo.keys() == {path, star}
             assert memo[path] is not harness._SEEN
             assert (memo[star] is harness._SEEN) == (state == "cold")
+
+
+def _relabelings(g, count, rng):
+    """``count`` distinct labelings of ``g``, ``g`` itself first."""
+    found = {encode_graph6(g): g}
+    while len(found) < count:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        found.setdefault(encode_graph6(h), h)
+    return list(found.values())
+
+
+class TestClassMemo:
+    """The per-class memo (charpoly enclosure, replay outcome with no
+    details) changes no row, no violation and no tight count, and hands no
+    violation from one labeling to another."""
+
+    # degrees 3,2,2,2,2,1: a labeling moves vertex 0 between rows
+    PAW_TAIL = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)])
+
+    def test_shuffled_relabelings_match_reference(self):
+        rng = random.Random(20)
+        six = list(enumerate_connected(6))
+        seven = list(itertools.islice(enumerate_connected(7), 0, 30000, 997))
+        classes = rng.sample(six, 4) + rng.sample(seven, 4) + [lollipop(5, 8)]
+        graphs = [h for g in classes for h in _relabelings(g, 6, rng)]
+        rng.shuffle(graphs)
+        chunk = ("graph6", [encode_graph6(g) for g in graphs])
+        got = harness._run_chunk(CHECKS, chunk)
+        assert got == run_chunk_reference(CHECKS, chunk)
+        assert len(got[0]) == 54 and not got[1]
+
+    def test_key_is_a_relabeling(self):
+        # equal keys therefore mean isomorphic graphs
+        for n in range(1, 6):
+            for g in enumerate_connected(n):
+                key = harness._class_key(g)
+                assert any(
+                    tuple(tuple(sorted(perm[u] for u in g.neighbors[v]))
+                          for v in sorted(range(n), key=perm.__getitem__)) == key
+                    for perm in itertools.permutations(range(n))
+                )
+
+    def test_charpoly_once_per_class_key(self, monkeypatch):
+        # at most one charpoly for each sequence's first graph and one per
+        # key: 19 sequences and 40 keys among the 728 graphs of n = 5
+        calls = []
+        charpoly = harness.spectral_radius_charpoly
+        monkeypatch.setattr(harness, "spectral_radius_charpoly",
+                            lambda g: calls.append(g) or charpoly(g))
+        graphs = list(enumerate_connected(5))
+        harness._run_chunk(CHECKS, ("enumerate", (5, 0, enumeration_space(5))))
+        sequences = {degree_sequence(g).degrees for g in graphs}
+        keys = {harness._class_key(g) for g in graphs}
+        assert (len(sequences), len(keys)) == (19, 40)
+        assert len(calls) <= len(sequences) + len(keys)
+
+    def test_violations_never_shared(self, monkeypatch):
+        # one class gets a charpoly enclosure disjoint from Lanczos's and a
+        # negative slack at vertex 0's row at every level; every member
+        # must name its own id, and its own row, as the reference does
+        rng = random.Random(3)
+        members = _relabelings(self.PAW_TAIL, 8, rng)
+        others = [h for family in ("path", "star")
+                  for h in _relabelings(gen_named(family, 6), 3, rng)]
+        ids = {encode_graph6(g) for g in members}
+        forged = SpectralResult(10.5, 0, 10.0, 11.0)
+        charpoly, slacks = harness.spectral_radius_charpoly, harness.row_slacks
+
+        def forged_charpoly(g):
+            return forged if encode_graph6(g) in ids else charpoly(g)
+
+        def forged_slacks(g, first=1):
+            row = sorted(range(g.n), key=lambda v: -len(g.neighbors[v])).index(0)
+            for level_slacks in slacks(g, first):
+                if encode_graph6(g) in ids:
+                    level_slacks = list(level_slacks)
+                    level_slacks[row] = -1
+                yield level_slacks
+
+        monkeypatch.setattr(harness, "spectral_radius_charpoly", forged_charpoly)
+        monkeypatch.setattr(harness, "row_slacks", forged_slacks)
+        graphs = members + others
+        rng.shuffle(graphs)
+        chunk = ("graph6", [encode_graph6(g) for g in graphs])
+        rows, violations, skipped, tight = harness._run_chunk(CHECKS, chunk)
+        assert (rows, violations, skipped, tight) == run_chunk_reference(CHECKS, chunk)
+        assert {gid for gid, _, _ in violations} == ids
+        replay_rows = set()
+        for ident in ids:
+            mine = {(name, detail) for gid, name, detail in violations if gid == ident}
+            assert {name for name, _ in mine} >= {"oracle", "replay"}
+            replay_rows |= {detail.split()[1] for name, detail in mine
+                            if name == "replay" and detail.startswith("row ")}
+        assert len(replay_rows) > 1
 
 
 class _InlinePool:
