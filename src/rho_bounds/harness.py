@@ -54,7 +54,10 @@ _FILE_CHUNK = 5000
 # check takes only the sequence and its report, so its details never name
 # the graph and one result serves every graph with that sequence.  The
 # graph checks decide from the certified ends lo <= rho <= hi, each a dyadic
-# compared exactly with a half-surd phi_l, and read no tolerance.
+# compared exactly with a half-surd phi_l, and read no tolerance.  Lanczos's
+# result and every graph check's outcome depend only on the graph's
+# isomorphism class, so one result serves every graph of a class, except
+# replay's violation details, which name a row of their own labeling.
 # ---------------------------------------------------------------------------
 
 def _end_vs_phi(x: float, surd: tuple[int, int]) -> int:
@@ -194,12 +197,11 @@ def _replay(g, seq, report, spec):
     return details, bool(flat)
 
 
-def _oracle(g, seq, report, spec, cp=None):
-    # cp: the charpoly's enclosure where the caller holds it
+def _oracle(g, seq, report, spec):
     details = []
     meet = False
     if seq.n <= CHARPOLY_MAX_N:
-        cp = cp or spectral_radius_charpoly(g)
+        cp = spectral_radius_charpoly(g)
         meet = cp.lo <= spec.hi and spec.lo <= cp.hi
         if not meet:
             details.append(f"Lanczos [{spec.lo!r}, {spec.hi!r}] and charpoly "
@@ -293,16 +295,15 @@ _SEEN = object()
 def _sequence_entry(degrees: tuple[int, ...], checks: tuple[str, ...]) -> tuple:
     """The part of every check that depends only on the degree sequence:
     (seq, report, {sequence check name: (details, tight)}, classes), where
-    ``classes`` is an empty dict for the per-class results of the graphs
-    with this sequence, or None where no enabled check has one."""
+    ``classes`` is an empty dict for the class records of the graphs with
+    this sequence."""
     seq = DegreeSequence.from_degrees(degrees)
     report = bound_report(seq)
     results = {
         name: check(seq, report)
         for name, check in _SEQUENCE_CHECKS.items() if name in checks
     }
-    per_class = "replay" in checks or "oracle" in checks and seq.n <= CHARPOLY_MAX_N
-    return seq, report, results, {} if per_class else None
+    return seq, report, results, {}
 
 
 def _class_key(g: Graph) -> tuple:
@@ -320,20 +321,37 @@ def _class_key(g: Graph) -> tuple:
     return tuple([tuple(sorted(map(position.__getitem__, neighbors[v]))) for v in order])
 
 
-def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict):
-    """Run the enabled checks (canonical order) on one connected graph.
+def _class_record(g: Graph, checks: tuple[str, ...], seq, report, sequence_results) -> tuple:
+    """What ``g``'s isomorphism class fixes, given its sequence's entry:
+    (Lanczos's SpectralResult, [(check, details)] for the checks with
+    details, in canonical order, names of the checks tight here)."""
+    spec = spectral_radius_power(g)
+    found = []
+    tight = []
+    for name in checks:
+        details, is_tight = sequence_results.get(name) or _GRAPH_CHECKS[name](g, seq, report, spec)
+        if details:
+            found.append((name, details))
+        if is_tight:
+            tight.append(name)
+    return spec, found, tight
+
+
+def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict, ident: str | None = None):
+    """Run the enabled checks (canonical order) on one connected graph,
+    whose id is ``ident``, or its graph6 encoding where that is None.
 
     ``memo`` maps sorted degree tuples to ``_sequence_entry`` results for
-    one chunk, whose checks are fixed.  A sequence's first
-    sighting stores only ``_SEEN``, and its second the entry, so a corpus
-    of distinct sequences holds no reports.  From a sequence's second
-    sighting on, each graph's ``_class_key`` also indexes the entry's
-    classes, which keep what is exact for an isomorphism class: the
-    charpoly's enclosure, and a replay outcome with no details (a
-    violation names a row of its own labeling, so it is never reused).
-    Lanczos, the id, soundness, equality and the oracle's comparisons run
-    on every graph.  Returns
-    (row, violations, names of checks tight here).
+    one chunk, whose checks are fixed.  A sequence's first sighting stores
+    only ``_SEEN``, and its second the entry, so a corpus of distinct
+    sequences holds no reports.  From a sequence's second sighting on, each
+    graph's ``_class_key`` also indexes the entry's classes, which keep a
+    ``_class_record``: Lanczos's result is the same bit for bit on every
+    labeling (see ``spectral_oracle``), and so is every check's outcome,
+    except that a replay violation names a row of its own labeling and is
+    recomputed on each graph.  So per graph there remain the degree sort
+    and memo lookup, the class key, the id and the row.  Returns (row,
+    violations, names of checks tight here).
     """
     degrees = tuple(sorted(map(len, g.neighbors), reverse=True))
     entry = memo.get(degrees)
@@ -344,26 +362,21 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict):
         entry = fresh
     seq, report, sequence_results, classes = entry
     # a new degree tuple has no isomorph earlier in the chunk
-    known = classes.setdefault(_class_key(g), {}) if seen and classes is not None else {}
-    spec = spectral_radius_power(g)
-    ident = encode_graph6(g)
+    key = _class_key(g) if seen else None
+    record = classes.get(key)
+    new = record is None
+    if new:
+        record = _class_record(g, checks, seq, report, sequence_results)
+        if seen:
+            classes[key] = record
+    spec, found, tight = record
+    if ident is None:
+        ident = encode_graph6(g)
     violations = []
-    tight = []
-    for name in checks:
-        outcome = sequence_results.get(name) or known.get(name)
-        if outcome is None:
-            if name == "oracle" and seq.n <= CHARPOLY_MAX_N:
-                if "charpoly" not in known:
-                    known["charpoly"] = spectral_radius_charpoly(g)
-                outcome = _GRAPH_CHECKS[name](g, seq, report, spec, known["charpoly"])
-            else:
-                outcome = _GRAPH_CHECKS[name](g, seq, report, spec)
-            if name == "replay" and not outcome[0]:
-                known[name] = outcome
-        details, is_tight = outcome
+    for name, details in found:
+        if name == "replay" and not new:
+            details = _replay(g, seq, report, spec)[0]
         violations.extend((ident, name, detail) for detail in details)
-        if is_tight:
-            tight.append(name)
     return report_row(ident, seq, report, spec.rho), violations, tight
 
 
@@ -373,9 +386,11 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict):
 
 def _chunks(cfg: CampaignConfig) -> list[tuple]:
     """Split the source into picklable chunks: ("enumerate", (n, start, stop)),
-    ("graph6", lines) or ("edgelist", text).  Every graph6 record is checked
-    here, before any chunk runs, so a bad one leaves no report behind, and
-    the chunks decode without checking again."""
+    ("graph6", records) or ("edgelist", text).  Every graph6 record is
+    checked here, before any chunk runs, so a bad one leaves no report
+    behind, and the chunks decode without checking again.  A chunk's records
+    are stripped of any ``>>graph6<<`` prefix and trailing whitespace: each
+    is then its graph's id as read."""
     if cfg.source == "enumerate":
         total = enumeration_space(cfg.n)
         return [
@@ -388,7 +403,7 @@ def _chunks(cfg: CampaignConfig) -> list[tuple]:
     records = graph6_records(text)
     for number, record in enumerate(records, start=1):
         try:
-            check_graph6(record)
+            records[number - 1] = check_graph6(record)[0]
         except GraphParseError as exc:
             raise GraphParseError(f"record {number}: {exc}") from exc
     return [
@@ -398,14 +413,17 @@ def _chunks(cfg: CampaignConfig) -> list[tuple]:
 
 
 def _chunk_graphs(kind: str, payload):
-    """Yield the graphs of a chunk in source order."""
+    """Yield (id, graph) for the graphs of a chunk in source order; the id
+    is a graph6 source's record, and None for the other sources."""
     if kind == "enumerate":
         n, start, stop = payload
-        yield from enumerate_connected(n, mask_range=(start, stop))
+        for g in enumerate_connected(n, mask_range=(start, stop)):
+            yield None, g
     elif kind == "graph6":
-        yield from map(decode_graph6, payload)  # checked by _chunks
+        for record in payload:
+            yield record, decode_graph6(record)  # checked by _chunks
     else:
-        yield parse_edge_list(payload)
+        yield None, parse_edge_list(payload)
 
 
 def _run_chunk(checks: tuple[str, ...], chunk: tuple) -> tuple:
@@ -416,11 +434,11 @@ def _run_chunk(checks: tuple[str, ...], chunk: tuple) -> tuple:
     skipped = 0
     memo: dict = {}
     kind, payload = chunk
-    for g in _chunk_graphs(kind, payload):
+    for ident, g in _chunk_graphs(kind, payload):
         if kind != "enumerate" and not is_connected(g):
             skipped += 1
             continue
-        row, viols, tight = _examine_graph(g, checks, memo)
+        row, viols, tight = _examine_graph(g, checks, memo, ident)
         rows.append(row)
         violations.extend(viols)
         for name in tight:

@@ -16,6 +16,16 @@ plus a fixed KEPT_FLOATS floats; the Ritz vector is summed in a second pass
 from the kept vectors and regenerates only the rest, and rho is accepted
 only on an explicit residual test.
 
+Lanczos's SpectralResult is a function of the graph's isomorphism class,
+bit for bit, so a result may be reused for any relabeling of its graph.
+Relabeling permutes the entries of every vector and leaves every scalar
+alone, because each float operation is elementwise, exact (the integer
+products of the Ritz pass), a min or a max, or a sum over vertices rounded
+once.  Those sums, the neighbor sums of each product with A and every dot
+product, are ``math.fsum``: correctly rounded, so independent of the order
+of the terms (Shewchuk, "Adaptive Precision Floating-Point Arithmetic",
+DCG 18, 1997).
+
 The characteristic polynomial comes from Faddeev-LeVerrier with each matrix
 row packed into one Python integer of FIELD_BITS-bit signed fields; at
 n <= CHARPOLY_MAX_N every entry fits its field (bound in
@@ -79,17 +89,11 @@ class UnsupportedSizeError(ValueError):
 
 def _product(nbrs, q, q_prev, beta_prev: float) -> tuple[list[float], float]:
     """A*q - beta_prev*q_prev over the neighbor lists, and its dot product
-    with q."""
-    w = []
-    alpha = 0.0
-    for nb, qi, pi in zip(nbrs, q, q_prev):
-        acc = 0.0
-        for u in nb:
-            acc += q[u]
-        acc -= beta_prev * pi
-        w.append(acc)
-        alpha += qi * acc
-    return w, alpha
+    with q; each sum is rounded once, so the order of its terms, and the
+    labeling, cannot change it."""
+    get = q.__getitem__
+    w = [math.fsum(map(get, nb)) - beta_prev * pi for nb, pi in zip(nbrs, q_prev)]
+    return w, math.fsum(map(mul, q, w))
 
 
 def _pivots(alphas: list[float], beta2: list[float], x: float):

@@ -197,13 +197,14 @@ def brualdi_hoffman_reference(m: int) -> float:
     return float(k - 1)
 
 
-def examine_graph_reference(g: Graph, checks: tuple[str, ...]):
+def examine_graph_reference(g: Graph, checks: tuple[str, ...], ident: str | None = None):
     """``harness._examine_graph`` without the per-sequence memo: the degree
     sequence, its report and every check are computed for this graph."""
     seq = degree_sequence(g)
     spec = spectral_radius_power(g)
     report = bound_report(seq)
-    ident = encode_graph6(g)
+    if ident is None:
+        ident = encode_graph6(g)
     violations = []
     tight = []
     for name in checks:
@@ -224,11 +225,11 @@ def run_chunk_reference(checks: tuple[str, ...], chunk: tuple) -> tuple:
     tight_counts = dict.fromkeys(checks, 0)
     skipped = 0
     kind, payload = chunk
-    for g in harness._chunk_graphs(kind, payload):
+    for ident, g in harness._chunk_graphs(kind, payload):
         if kind != "enumerate" and not is_connected(g):
             skipped += 1
             continue
-        row, viols, tight = examine_graph_reference(g, checks)
+        row, viols, tight = examine_graph_reference(g, checks, ident)
         rows.append(row)
         violations.extend(viols)
         for name in tight:

@@ -2,7 +2,7 @@
 
 The exhaustive sweeps cover every labeled connected graph up to 7 vertices
 (1,893,732 graphs).  Worker count comes from RHO_BOUNDS_JOBS or the CPU
-count, so the long n=7 campaign parallelizes; expect minutes, not seconds.
+count, so the n=7 campaign parallelizes; expect about a minute on two CPUs.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import multiprocessing
@@ -136,6 +137,20 @@ class TestFileCampaigns:
         )
         assert result.graphs_checked == 1
         assert rows[0][0] == "Ch"  # re-encoded identifier
+
+    def test_graph6_id_is_the_record_as_read(self, tmp_path):
+        # nonzero padding bits decode to the same graph as the canonical
+        # record, but the id is the record itself, past any prefix and
+        # before any trailing whitespace
+        canonical = encode_graph6(gen_named("path", 5))  # 10 bits in 12
+        padded = canonical[:-1] + chr(63 + (ord(canonical[-1]) - 63 | 0b11))
+        assert padded != canonical
+        path = tmp_path / "padded.g6"
+        path.write_text(f">>graph6<<{padded} \t\r\n{canonical}\n")
+        rows = []
+        run_campaign(CampaignConfig(source="graph6", path=str(path)), row_sink=rows.append)
+        assert [row[0] for row in rows] == [padded, canonical]
+        assert rows[0][1:] == rows[1][1:]
 
     def test_missing_file(self):
         with pytest.raises(OSError):
@@ -549,18 +564,29 @@ class TestClassMemo:
                 )
 
     def test_charpoly_once_per_class_key(self, monkeypatch):
-        # at most one charpoly for each sequence's first graph and one per
-        # key: 19 sequences and 40 keys among the 728 graphs of n = 5
-        calls = []
-        charpoly = harness.spectral_radius_charpoly
-        monkeypatch.setattr(harness, "spectral_radius_charpoly",
-                            lambda g: calls.append(g) or charpoly(g))
+        # at most one charpoly, Lanczos run and graph check for each
+        # sequence's first graph and one per key: 19 sequences and 40 keys
+        # among the 728 graphs of n = 5
+        calls = collections.Counter()
+
+        def counted(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+            return call
+
+        for name in ("spectral_radius_charpoly", "spectral_radius_power"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        for name, check in harness._GRAPH_CHECKS.items():
+            monkeypatch.setitem(harness._GRAPH_CHECKS, name, counted(name, check))
         graphs = list(enumerate_connected(5))
         harness._run_chunk(CHECKS, ("enumerate", (5, 0, enumeration_space(5))))
         sequences = {degree_sequence(g).degrees for g in graphs}
         keys = {harness._class_key(g) for g in graphs}
         assert (len(sequences), len(keys)) == (19, 40)
-        assert len(calls) <= len(sequences) + len(keys)
+        assert calls.keys() == {"spectral_radius_charpoly", "spectral_radius_power",
+                                *harness._GRAPH_CHECKS}
+        assert max(calls.values()) <= len(sequences) + len(keys)
 
     def test_violations_never_shared(self, monkeypatch):
         # one class gets a charpoly enclosure disjoint from Lanczos's and a

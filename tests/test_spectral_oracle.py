@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import tracemalloc
@@ -17,6 +18,7 @@ from rho_bounds import (
     UnsupportedSizeError,
     characteristic_polynomial,
     degree_sequence,
+    encode_graph6,
     enumerate_connected,
     gen_join_dominating,
     gen_named,
@@ -24,7 +26,7 @@ from rho_bounds import (
     spectral_radius_charpoly,
     spectral_radius_power,
 )
-from rho_bounds import spectral_oracle
+from rho_bounds import harness, spectral_oracle
 from rho_bounds.spectral_oracle import (
     CHARPOLY_MAX_N,
     FIELD_BITS,
@@ -299,6 +301,46 @@ class TestLanczos:
             tracemalloc.stop()
         assert res.iterations >= 350
         assert peak < 1_000_000
+
+
+def _bits(res):
+    return res.rho.hex(), res.iterations, res.lo.hex(), res.hi.hex()
+
+
+class TestClassInvariance:
+    """Lanczos's result is a function of the isomorphism class, bit for
+    bit: every sum over vertices is rounded once, so no labeling orders it,
+    and a memo may hand one graph's result to its relabelings."""
+
+    def test_one_result_per_class_key_through_n6(self):
+        results = collections.defaultdict(set)
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                results[harness._class_key(g)].add(_bits(spectral_radius_power(g)))
+        assert len(results) == 438
+        assert all(len(found) == 1 for found in results.values())
+
+    def test_random_relabelings(self, monkeypatch):
+        # lollipop(5, 20)'s Ritz vector is not positive, so its ends take
+        # the A + I path of _certified_ends
+        paths = []
+        ends = spectral_oracle._certified_ends
+        monkeypatch.setattr(spectral_oracle, "_certified_ends",
+                            lambda Y, *args: paths.append(min(Y) > 0) or ends(Y, *args))
+        rng = random.Random(21)
+        graphs = [random_tree(rng, n) for n in range(2, 61, 6)]
+        graphs += [random_connected_graph(rng, n, rng.uniform(0.2, 0.8)) for n in range(3, 61, 6)]
+        graphs.append(lollipop(5, 20))
+        for g in graphs:
+            expected = _bits(spectral_radius_power(g))
+            for _ in range(4):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                h = Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
+                # neighbor tuples in any order, as direct construction allows
+                h = Graph(h.n, tuple(tuple(rng.sample(nb, len(nb))) for nb in h.neighbors))
+                assert _bits(spectral_radius_power(h)) == expected, encode_graph6(g)
+        assert paths[-5:] == [False] * 5
 
 
 class TestTridiagonal:
