@@ -6,9 +6,9 @@ The central family is ``phi``: for a level l, the bound
 
 It refines the classical one-number bounds (max degree, Brualdi-Hoffman,
 Stanley, Hong, Hong-Shu-Fang) and the Shu-Wu per-level bound, all of which
-are implemented here as well.  Every radicand and every comparison between
-phi values is formed in exact integer arithmetic; floats appear only in the
-final square root.
+are implemented here as well.  phi, Shu-Wu and Hong-Shu-Fang are exact
+integer pairs (a, b) for (a + sqrt(b))/2, which ``compare_half_surds`` orders
+in integers; a float bound only rounds its pair, at the final square root.
 """
 
 from __future__ import annotations
@@ -29,37 +29,26 @@ def _check_level(seq: DegreeSequence, level: int) -> None:
         raise ValueError(f"level {level} out of range 1..{seq.n}")
 
 
-def _prefix_bound(d: int, excess: int) -> float:
-    """(d - 1 + sqrt((d + 1)^2 + 4 * excess)) / 2, the radicand an exact integer."""
-    return (d - 1 + math.sqrt((d + 1) * (d + 1) + 4 * excess)) / 2
-
-
-def phi(seq: DegreeSequence, level: int) -> float:
-    """Degree-prefix bound at a level: uses the top ``level`` degrees.
-
-    The float rounding of :func:`phi_surd`, whose integers are exact, so the
-    only rounding is the single square root.  At level 1 the excess is empty
-    and phi equals the maximum degree.
-    """
-    a, b = phi_surd(seq, level)
+def _rounded(surd: tuple[int, int]) -> float:
+    """The float of an exact pair (a, b): (a + sqrt(b)) / 2."""
+    a, b = surd
     return (a + math.sqrt(b)) / 2
 
 
+def phi(seq: DegreeSequence, level: int) -> float:
+    """Degree-prefix bound at a level from the top ``level`` degrees, the
+    float of :func:`phi_surd`; at level 1 it is the maximum degree."""
+    return _rounded(phi_surd(seq, level))
+
+
 def bound_shu_wu(seq: DegreeSequence, level: int) -> float:
-    """Shu-Wu bound at a level: overestimates every prefix gap by d_1 - d_level."""
-    _check_level(seq, level)
-    d = seq.degrees[level - 1]
-    return _prefix_bound(d, (level - 1) * (seq.degrees[0] - d))
+    """Shu-Wu bound at a level, the float rounding of :func:`shu_wu_surd`."""
+    return _rounded(shu_wu_surd(seq, level))
 
 
 def bound_hong_shu_fang(seq: DegreeSequence) -> float:
-    """Hong-Shu-Fang bound from the minimum degree and edge count.
-
-    Coincides with phi at level n: the full-prefix excess telescopes to
-    2m - n*d_n.
-    """
-    d = seq.degrees[-1]
-    return _prefix_bound(d, 2 * seq.m - seq.n * d)
+    """Hong-Shu-Fang bound, the float rounding of :func:`hong_shu_fang_surd`."""
+    return _rounded(hong_shu_fang_surd(seq))
 
 
 def bound_hong(seq: DegreeSequence) -> float:
@@ -100,6 +89,21 @@ def phi_surd(seq: DegreeSequence, level: int) -> tuple[int, int]:
     d = seq.degrees[level - 1]
     excess = seq.prefix[level - 1] - (level - 1) * d
     return d - 1, (d + 1) * (d + 1) + 4 * excess
+
+
+def shu_wu_surd(seq: DegreeSequence, level: int) -> tuple[int, int]:
+    """Shu-Wu at a level as the exact pair (a, b): phi's, with every prefix
+    gap overestimated by d_1 - d_level, so E = (level - 1)(d_1 - d_level)."""
+    _check_level(seq, level)
+    d = seq.degrees[level - 1]
+    return d - 1, (d + 1) * (d + 1) + 4 * (level - 1) * (seq.degrees[0] - d)
+
+
+def hong_shu_fang_surd(seq: DegreeSequence) -> tuple[int, int]:
+    """Hong-Shu-Fang as the exact pair (a, b) from d_n and m: phi's at level
+    n, whose full-prefix excess telescopes to E = 2m - n*d_n."""
+    d = seq.degrees[-1]
+    return d - 1, (d + 1) * (d + 1) + 4 * (2 * seq.m - seq.n * d)
 
 
 def _sign(x: int) -> int:
@@ -153,13 +157,14 @@ def compare_step(seq: DegreeSequence, s: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class PhiSequence:
-    """All n phi values with the location of their minimum.
+    """All n phi values, rounded and as exact pairs, and where the minimum is.
 
     ``argmin_levels`` and ``pivot`` come from exact integer tests on the
     degree sequence (see :func:`phi_sequence`), not from comparing floats.
     """
 
     values: tuple[float, ...]
+    surds: tuple[tuple[int, int], ...]
     argmin_levels: frozenset[int]
     pivot: int | None
 
@@ -182,7 +187,7 @@ def phi_sequence(seq: DegreeSequence) -> PhiSequence:
     n = seq.n
     degrees = seq.degrees
     prefix = seq.prefix
-    values = tuple(phi(seq, level) for level in range(1, n + 1))
+    surds = tuple(phi_surd(seq, level) for level in range(1, n + 1))
     qualifying = (level for level in range(3, n + 1) if prefix[level] < level * (level - 1))
     pivot = next(qualifying, None)
     if pivot is None:
@@ -192,7 +197,7 @@ def phi_sequence(seq: DegreeSequence) -> PhiSequence:
         if prefix[pivot - 1] == (pivot - 1) * (pivot - 2):
             attaining.add(degrees[pivot - 2])
     argmin_levels = frozenset(j for j in range(1, n + 1) if degrees[j - 1] in attaining)
-    return PhiSequence(values, argmin_levels, pivot)
+    return PhiSequence(tuple(map(_rounded, surds)), surds, argmin_levels, pivot)
 
 
 def is_graphical(degrees: list[int] | tuple[int, ...]) -> bool:
@@ -231,7 +236,7 @@ class BoundReport:
     """
 
     phis: PhiSequence
-    shu_wu: tuple[float, ...]
+    shu_wu_surds: tuple[tuple[int, int], ...]
     hong_shu_fang: float
     hong: float
     stanley: float
@@ -244,7 +249,7 @@ def bound_report(seq: DegreeSequence) -> BoundReport:
     """Assemble all bounds and the equality certificate for a degree sequence."""
     return BoundReport(
         phis=phi_sequence(seq),
-        shu_wu=tuple(bound_shu_wu(seq, level) for level in range(1, seq.n + 1)),
+        shu_wu_surds=tuple(shu_wu_surd(seq, level) for level in range(1, seq.n + 1)),
         hong_shu_fang=bound_hong_shu_fang(seq),
         hong=bound_hong(seq),
         stanley=bound_stanley(seq.m),

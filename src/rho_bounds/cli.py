@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 
-from .bounds import bound_report, is_graphical
+from .bounds import bound_report, bound_shu_wu, is_graphical
 from .graph_core import (
     DegreeSequence,
     Graph,
@@ -92,7 +92,7 @@ def cmd_bound(args) -> int:
         **dict(zip(CSV_COLUMNS, row)),
         "degrees": seq.degrees,
         "phi": report.phis.values,
-        "shu_wu": report.shu_wu,
+        "shu_wu": tuple(bound_shu_wu(seq, level) for level in range(1, seq.n + 1)),
         "argmin_levels": tuple(sorted(report.phis.argmin_levels)),
         "predicted_tight_levels": tuple(sorted(cert.predicted_tight_levels)) if cert else (),
     }, args.output)

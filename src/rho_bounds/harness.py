@@ -16,7 +16,8 @@ import time
 from dataclasses import dataclass, field
 
 from .bounds import (
-    GREATER, LESS, BoundReport, bound_report, compare_step, phi_surd, surd_sign,
+    EQUAL, GREATER, LESS, BoundReport, bound_report, compare_half_surds, compare_step,
+    hong_shu_fang_surd, surd_sign,
 )
 from .graph_core import (
     DegreeSequence,
@@ -35,7 +36,6 @@ from .graph_core import (
 )
 from .proof_replay import CertificateViolationError, row_slacks
 from .spectral_oracle import CHARPOLY_MAX_N, spectral_radius_charpoly, spectral_radius_power
-from .tolerances import TOLERANCES
 
 CSV_COLUMNS = (
     "id", "n", "m", "rho", "phi_min", "pivot", "phi_n", "hong_shu_fang",
@@ -52,9 +52,10 @@ _FILE_CHUNK = 5000
 # tight instance).  A graph check takes the graph, its degree sequence, the
 # sequence's bound report and the graph's Lanczos SpectralResult; a sequence
 # check takes only the sequence and its report, so its details never name
-# the graph and one result serves every graph with that sequence.  The
-# graph checks decide from the certified ends lo <= rho <= hi, each a dyadic
-# compared exactly with a half-surd phi_l, and read no tolerance.  Lanczos's
+# the graph and one result serves every graph with that sequence.  No check
+# reads a tolerance: the sequence checks compare exact pairs (a, b) of
+# half-surds (a + sqrt(b))/2, and the graph checks the certified ends
+# lo <= rho <= hi, each a dyadic compared exactly with phi_l.  Lanczos's
 # result and every graph check's outcome depend only on the graph's
 # isomorphism class, so one result serves every graph of a class, except
 # replay's violation details, which name a row of their own labeling.
@@ -71,7 +72,7 @@ def _end_vs_phi(x: float, surd: tuple[int, int]) -> int:
 def _soundness(g, seq, report, spec):
     # every slack zero at a level means rho = phi_l (Perron-Frobenius)
     level = min(report.phis.argmin_levels)
-    surd = phi_surd(seq, level)
+    surd = report.phis.surds[level - 1]
     vmin = report.phis.minimum
     if _end_vs_phi(spec.hi, surd) < 0:
         return [], False
@@ -84,25 +85,24 @@ def _soundness(g, seq, report, spec):
 
 
 def _dominance(seq, report):
-    # phi_l and shu_wu_l (and phi_n and hong_shu_fang) are each the monotone
-    # (d - 1 + sqrt((d + 1)^2 + 4E))/2 of one d and an integer excess E, so
-    # the floats are ordered as the excesses are; the radicand is below
-    # 5n^2 < 2^39 for every graph verify reads, where distinct excesses
-    # round apart, so equal floats mean equal excesses
+    # phi_l and shu_wu_l are the exact pairs (d_l - 1, (d_l + 1)^2 + 4E) of
+    # one d_l, E the prefix excess or (l - 1)(d_1 - d_l): with a shared a the
+    # radicands decide, and a pair with another a is wrong.  phi_n's pair
+    # must be hong_shu_fang's
     details = []
     tight = False
     d1 = seq.degrees[0]
-    values = report.phis.values
-    for level, (v, sw) in enumerate(zip(values, report.shu_wu), start=1):
-        if v > sw:
-            details.append(f"phi_{level}={v!r} exceeds shu_wu_{level}={sw!r}")
+    surds = report.phis.surds
+    for level, (surd, shu_wu) in enumerate(zip(surds, report.shu_wu_surds), start=1):
+        if surd[0] != shu_wu[0] or surd[1] > shu_wu[1]:
+            details.append(f"phi_{level} pair {surd} is not at most shu_wu_{level} pair {shu_wu}")
         # at levels with d_level = d_1 the two formulas coincide; a tie
         # is only notable where the prefix sum could have been smaller
-        if v == sw and seq.degrees[level - 1] < d1:
+        elif surd == shu_wu and seq.degrees[level - 1] < d1:
             tight = True
-    hsf = report.hong_shu_fang
-    if values[-1] != hsf:
-        details.append(f"phi_n={values[-1]!r} != hong_shu_fang={hsf!r}")
+    hsf = hong_shu_fang_surd(seq)
+    if surds[-1] != hsf:
+        details.append(f"phi_n pair {surds[-1]} != hong_shu_fang pair {hsf}")
     return details, tight
 
 
@@ -122,7 +122,7 @@ def _equality(g, seq, report, spec):
     for level in levels:
         key = seq.degrees[level - 1], level in predicted
         if key != last:
-            last, surd = key, phi_surd(seq, level)
+            last, surd = key, report.phis.surds[level - 1]
             above = _end_vs_phi(spec.hi, surd) < 0
             if key[1]:
                 verdict = wrong if above or _end_vs_phi(spec.lo, surd) > 0 else None
@@ -142,10 +142,12 @@ def _equality(g, seq, report, spec):
 
 
 def _unimodality(seq, report):
+    # compare_step's closed form against the direct comparison of phi's
+    # pairs, which a repeated degree repeats (EQUAL without a comparison),
+    # and the structural argmin against an exact scan of the distinct pairs
     details = []
     phis = report.phis
-    values = phis.values
-    tol = TOLERANCES["comparator"]
+    surds = phis.surds
     seen_less = False
     for s in range(1, seq.n):
         ordering = compare_step(seq, s)
@@ -153,20 +155,18 @@ def _unimodality(seq, report):
             seen_less = True
         elif ordering == GREATER and seen_less:
             details.append(f"phi sequence falls at step {s} after having risen")
-        diff = values[s - 1] - values[s]
-        float_ordering = 0 if abs(diff) <= tol else (GREATER if diff > 0 else LESS)
-        if float_ordering != ordering:
-            details.append(
-                f"integer comparator says {ordering} at step {s} but "
-                f"float difference is {diff!r}"
-            )
-    vmin = min(values)
-    scan = frozenset(j for j, v in enumerate(values, start=1) if v <= vmin + tol)
-    if scan != phis.argmin_levels or abs(phis.minimum - vmin) > tol:
-        details.append(
-            f"structural argmin {sorted(phis.argmin_levels)} "
-            f"(pivot {phis.pivot}) != scanned argmin {sorted(scan)}"
-        )
+        left, right = surds[s - 1], surds[s]
+        direct = EQUAL if left == right else compare_half_surds(*left, *right)
+        if direct != ordering:
+            details.append(f"integer comparator says {ordering} at step {s} but "
+                           f"the pairs {left} and {right} compare {direct}")
+    distinct = set(surds)
+    least = min(distinct, key=functools.cmp_to_key(lambda x, y: compare_half_surds(*x, *y)))
+    lowest = {surd for surd in distinct if compare_half_surds(*surd, *least) == EQUAL}
+    scan = frozenset(j for j, surd in enumerate(surds, start=1) if surd in lowest)
+    if scan != phis.argmin_levels:
+        details.append(f"structural argmin {sorted(phis.argmin_levels)} "
+                       f"(pivot {phis.pivot}) != scanned argmin {sorted(scan)}")
     return details, phis.pivot is None  # counts pivot-fallback inputs
 
 

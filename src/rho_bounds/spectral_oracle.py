@@ -31,7 +31,11 @@ row packed into one Python integer of FIELD_BITS-bit signed fields; at
 n <= CHARPOLY_MAX_N every entry fits its field (bound in
 ``characteristic_polynomial``), and the exact trace divisions and the
 Cayley-Hamilton check still guard every result.  Root isolation is cached
-per process by (polynomial, maximum degree), an exact key."""
+per process by (polynomial, maximum degree), an exact key.
+
+POWER_RESIDUAL and ROOT_ENCLOSURE, the solvers' stops, are the package's only
+tolerances; they set how close the certified ends are, and no verdict reads
+them."""
 
 from __future__ import annotations
 
@@ -42,13 +46,14 @@ from itertools import islice
 from operator import add, mul, truediv
 
 from .graph_core import Graph
-from .tolerances import TOLERANCES
 
 MAX_ITERATIONS = 10**6
 CHARPOLY_MAX_N = 12
 FIELD_BITS = 64
+POWER_RESIDUAL = 1e-9   # Lanczos: residual to stop at and to accept, |Ay - rho y|_inf / |y|_2
+ROOT_ENCLOSURE = 1e-13  # root isolation: first bracket step and the width to bisect down to
 #: Lanczos skips the solve of T_k at steps whose residual, predicted from
-#: the last step, is above this many 'power_residual' tolerances.
+#: the last step, is above this many times POWER_RESIDUAL.
 SOLVE_FACTOR = 100.0
 #: Lanczos keeps its first max(1, KEPT_FLOATS // n) vectors for the Ritz
 #: pass and regenerates only the rest.
@@ -237,15 +242,15 @@ def spectral_radius_power(g: Graph) -> SpectralResult:
     beta_k to the tridiagonal T_k.  With theta the largest eigenvalue of
     T_k and s its unit eigenvector, beta_k*|s_k| is the residual of the
     Ritz pair in exact arithmetic, and the steps stop once it is at most
-    the 'power_residual' tolerance.  A step finds theta and s_k
-    (``_largest_eigenvalue``, Newton warm-started from the last step) only
+    POWER_RESIDUAL.  A step finds theta and s_k (``_largest_eigenvalue``,
+    Newton warm-started from the last step) only
     when the residual predicted from the last step's, beta_k*r/(theta -
     alpha_k) for the 2-by-2 coupling of the last Ritz pair to the new row,
-    is within SOLVE_FACTOR of the tolerance; otherwise it carries the
+    is within SOLVE_FACTOR of POWER_RESIDUAL; otherwise it carries the
     2-by-2 estimates forward.  The prediction holds once the Ritz vector
     has settled, not while it still spreads over the whole basis (long
-    paths), so a solve that finds the residual above SOLVE_FACTOR
-    tolerances turns the skipping off until a solve finds it within them:
+    paths), so a solve that finds the residual above SOLVE_FACTOR times
+    POWER_RESIDUAL turns the skipping off until a solve finds it within:
     Newton needs a start close above the root, and a stale theta at large
     k costs O(k) passes.
 
@@ -256,8 +261,8 @@ def spectral_radius_power(g: Graph) -> SpectralResult:
     budget), then forms A*Y in integers for Y = y*2^s, 2^-s the smallest
     unit in y.  rho = y.Ay / y.y, every sum in it rounded once, is accepted
     with the certified ends of ``_certified_ends`` (target rho +
-    'power_residual') when the explicit residual |Ay - rho*y|_inf / |y|_2
-    is at most 'power_residual'; otherwise Lanczos restarts from y, keeping
+    POWER_RESIDUAL) when the explicit residual |Ay - rho*y|_inf / |y|_2
+    is at most POWER_RESIDUAL; otherwise Lanczos restarts from y, keeping
     its vectors anew.  The all-ones start has positive overlap with the
     Perron vector, so the largest eigenvalue of A is in reach on a
     connected graph.  Memory is O(n + k) plus the KEPT_FLOATS floats of the
@@ -267,7 +272,7 @@ def spectral_radius_power(g: Graph) -> SpectralResult:
     steps, the regenerated vectors, A*Y, every restart and the certified
     ends; ``iterations`` reports the products used.
     """
-    tol = TOLERANCES["power_residual"]
+    tol = POWER_RESIDUAL
     nbrs = g.neighbors
     zeros = [0.0] * g.n
     start = [1.0] * g.n
@@ -437,15 +442,14 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
 
     The caller must know the root to lie in [0, ``upper``], ``upper`` an
     integer.  Returns (lo, hi, iterations) with lo < root <= hi certified by
-    exact sign tests and hi - lo at most 'root_enclosure'; a root at 0 gives
+    exact sign tests and hi - lo at most ROOT_ENCLOSURE; a root at 0 gives
     (0.0, 0.0).  A float Newton sweep from above supplies the initial guess:
     started above the largest root it falls monotonically, so it stops when
-    a step no longer moves it down.  The bracket is one 'root_enclosure' to
+    a step no longer moves it down.  The bracket is one ROOT_ENCLOSURE to
     each side of that point; a side that fails its sign test falls back to
     the proven end (``upper`` above, 0 below).  Bisection with exact integer
-    sign tests then narrows it to at most 'root_enclosure'.
+    sign tests then narrows it to at most ROOT_ENCLOSURE.
     """
-    enclosure = TOLERANCES["root_enclosure"]
     n = len(coeffs) - 1
     chain = _derivative_chain(coeffs)
     cf = [float(x) for x in coeffs]
@@ -467,15 +471,15 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
             break
         x = nxt
 
-    hi = x + enclosure
+    hi = x + ROOT_ENCLOSURE
     if not _at_or_above_root(chain, hi):
         hi = float(upper)
-    lo = x - enclosure
+    lo = x - ROOT_ENCLOSURE
     if lo <= 0.0 or _at_or_above_root(chain, lo):
         lo = 0.0
         if _at_or_above_root(chain, lo):
             return 0.0, 0.0, iterations
-    while hi - lo > enclosure:
+    while hi - lo > ROOT_ENCLOSURE:
         iterations += 1
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     exact_phi_argmin,
+    exact_phi_compare,
     random_connected_graph,
     random_degree_sequence,
 )
@@ -32,15 +33,18 @@ from rho_bounds import (
     spectral_radius_charpoly,
     spectral_radius_power,
 )
-from rho_bounds.tolerances import TOLERANCES
 
 JOBS = int(os.environ.get("RHO_BOUNDS_JOBS", "0")) or (os.cpu_count() or 1)
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
+SEVEN_TIGHT = {
+    "soundness": 2597, "dominance": 1865430, "equality": 2597,
+    "unimodality": 1, "replay": 2597, "oracle": 1866256,
+}
 
-# The campaign's verdicts are exact, and the comparator's tolerance comes
-# from TOLERANCES; these two are the suite's own thresholds for the closed
-# forms and the predecessors' tight families.
+# The campaign's verdicts are exact and read no tolerance; these two are the
+# suite's own thresholds for the closed forms and the predecessors' tight
+# families.
 CLOSED_FORM_TOL = 1e-10
 TIGHT_FAMILY_TOL = 1e-10
 
@@ -61,9 +65,10 @@ def exhaustive_small():
 
 @pytest.fixture(scope="module")
 def exhaustive_seven():
-    """The n=7 sweep, every check."""
+    """The n=7 sweep, every check, with its tight counts."""
     result = run_campaign(CampaignConfig(source="enumerate", n=7, jobs=JOBS))
     assert result.graphs_checked == CONNECTED_COUNTS[7]
+    assert result.tight_instances == SEVEN_TIGHT
     return result
 
 
@@ -163,21 +168,16 @@ def test_criterion_05_worked_examples():
 def test_criterion_06_step_comparator(
     exhaustive_small, exhaustive_seven, random_sequences
 ):
-    """Integer step comparison matches floats at 1e-9; valley shape holds."""
+    """Integer step comparison matches the exact surd comparison; valley
+    shape holds."""
     for result in _all_exhaustive(exhaustive_small, exhaustive_seven):
         bad = _violations(result, "unimodality")
         assert bad == [], bad[:5]
-    comparator_tol = TOLERANCES["comparator"]
     for seq in random_sequences:
-        values = phi_sequence(seq).values
         seen_less = False
         for s in range(1, seq.n):
             ordering = compare_step(seq, s)
-            diff = values[s - 1] - values[s]
-            float_ordering = (
-                0 if abs(diff) <= comparator_tol else (1 if diff > 0 else -1)
-            )
-            assert ordering == float_ordering, (seq.degrees, s)
+            assert ordering == exact_phi_compare(seq, s, s + 1), (seq.degrees, s)
             if ordering == -1:
                 seen_less = True
             else:
@@ -198,18 +198,13 @@ def test_criterion_07_minimum_location(
     for n, result in exhaustive_small.items():
         assert result.tight_instances["unimodality"] == 1, n
     assert exhaustive_seven.tight_instances["unimodality"] == 1
-    comparator_tol = TOLERANCES["comparator"]
     fallbacks = 0
     for seq in random_sequences:
         phis = phi_sequence(seq)
-        value, pivot, levels = phis.minimum, phis.pivot, phis.argmin_levels
-        values = phis.values
-        vmin = min(values)
-        scanned = frozenset(
-            j for j in range(1, seq.n + 1) if values[j - 1] <= vmin + comparator_tol
-        )
-        assert levels == scanned == exact_phi_argmin(seq), seq.degrees
-        assert abs(value - vmin) <= comparator_tol
+        pivot, levels = phis.pivot, phis.argmin_levels
+        scanned = exact_phi_argmin(seq)
+        assert levels == scanned, seq.degrees
+        assert phis.minimum == phis.values[min(scanned) - 1]
         qualifying = [
             level for level in range(3, seq.n + 1)
             if seq.prefix[level] < level * (level - 1)

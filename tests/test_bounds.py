@@ -36,7 +36,9 @@ from rho_bounds import (
     phi_sequence,
     spectral_radius_power,
 )
-from rho_bounds.bounds import compare_half_surds, surd_sign
+from rho_bounds.bounds import (
+    compare_half_surds, hong_shu_fang_surd, phi_surd, shu_wu_surd, surd_sign,
+)
 from rho_bounds.harness import report_row
 
 
@@ -96,6 +98,7 @@ class TestPhiSequence:
     def test_two_two_one_one(self):
         phis = phi_sequence(seq_of(2, 2, 1, 1))
         assert phis.values == (2.0, 2.0, math.sqrt(3), math.sqrt(3))
+        assert phis.surds == ((1, 9), (1, 9), (0, 12), (0, 12))
         assert phis.argmin_levels == frozenset({3, 4})
         assert phis.pivot == 3
 
@@ -119,6 +122,14 @@ class TestShuWu:
         got = bound_shu_wu(seq_of(4, 3, 3, 2, 1, 1), 4)
         assert abs(got - (1 + math.sqrt(33)) / 2) <= 1e-15
         assert got >= 3.0  # never better than phi there
+        assert shu_wu_surd(seq_of(4, 3, 3, 2, 1, 1), 4) == (1, 33)
+
+    @given(degree_sequences())
+    def test_float_rounds_the_pair_once(self, seq):
+        d1 = seq.degrees[0]
+        for level, d in enumerate(seq.degrees, start=1):
+            radicand = (d + 1) ** 2 + 4 * (level - 1) * (d1 - d)
+            assert bound_shu_wu(seq, level) == (d - 1 + math.sqrt(radicand)) / 2
 
     def test_regular_collapses(self):
         s = seq_of(2, 2, 2, 2, 2)
@@ -144,7 +155,8 @@ class TestHongShuFang:
 
     @given(degree_sequences())
     def test_exact_identity_with_phi_n(self, seq):
-        # the full-prefix excess telescopes, so the floats are identical
+        # the full-prefix excess telescopes, so the pairs are identical
+        assert hong_shu_fang_surd(seq) == phi_surd(seq, seq.n)
         assert phi(seq, seq.n) == bound_hong_shu_fang(seq)
 
 
@@ -464,11 +476,12 @@ class TestBoundReport:
 
     def test_rho_below_every_bound(self):
         for g in enumerate_connected(5):
-            report = bound_report(degree_sequence(g))
+            seq = degree_sequence(g)
+            report = bound_report(seq)
             rho = spectral_radius_power(g).rho
             for value in (
                 report.phis.minimum, report.hong_shu_fang, report.hong, report.stanley,
                 report.brualdi_hoffman, report.max_degree, *report.phis.values,
-                *report.shu_wu,
+                *(bound_shu_wu(seq, level) for level in range(1, seq.n + 1)),
             ):
                 assert rho <= value + 1e-9

@@ -31,7 +31,10 @@ from rho_bounds import (
     run_campaign,
     spectral_radius_power,
 )
-from rho_bounds.bounds import compare_half_surds, phi_surd
+from rho_bounds.bounds import (
+    EQUAL, GREATER, LESS, compare_half_surds, compare_step, hong_shu_fang_surd, phi,
+    phi_surd,
+)
 from rho_bounds.graph_core import enumeration_space
 
 from conftest import examine_graph_reference, lollipop, run_chunk_reference
@@ -448,31 +451,40 @@ def test_localized_perron_vector_verifies(clique, path, tmp_path):
 
 
 def _dominance(seq, **replace):
-    """The dominance check on a sequence's report with ``replace``d fields,
-    reading no tolerance."""
+    """The dominance check on a sequence's report with ``replace``d fields."""
     report = dataclasses.replace(bound_report(seq), **replace)
     return harness._dominance(seq, report)
 
 
 class TestDominanceCheck:
-    """The floats of both sides round one integer excess each, so the
-    check compares them exactly."""
+    """Both sides of each comparison are exact pairs (a, b) of half-surds
+    (a + sqrt(b))/2, so a radicand one unit off is caught."""
 
     P4 = DegreeSequence.from_degrees((2, 2, 1, 1))
 
-    def test_shu_wu_one_ulp_below_phi(self):
+    def test_shu_wu_radicand_one_below_phi(self):
         report = bound_report(self.P4)
-        phi_3 = report.phis.values[2]
-        assert report.shu_wu[2] == phi_3  # level 3 ties
-        shu_wu = report.shu_wu[:2] + (math.nextafter(phi_3, -math.inf),) + report.shu_wu[3:]
-        details, _ = _dominance(self.P4, shu_wu=shu_wu)
-        assert details == [f"phi_3={phi_3!r} exceeds shu_wu_3={shu_wu[2]!r}"]
+        a, b = report.phis.surds[2]
+        assert report.shu_wu_surds[2] == (a, b)  # level 3 ties
+        shu_wu = report.shu_wu_surds[:2] + ((a, b - 1),) + report.shu_wu_surds[3:]
+        details, _ = _dominance(self.P4, shu_wu_surds=shu_wu)
+        assert details == [f"phi_3 pair {(a, b)} is not at most shu_wu_3 pair {(a, b - 1)}"]
 
-    def test_hong_shu_fang_one_ulp_off_phi_n(self):
-        phi_n = bound_report(self.P4).phis.values[-1]
-        for off in (math.nextafter(phi_n, -math.inf), math.nextafter(phi_n, math.inf)):
-            details, _ = _dominance(self.P4, hong_shu_fang=off)
-            assert details == [f"phi_n={phi_n!r} != hong_shu_fang={off!r}"]
+    def test_shu_wu_pair_with_another_a(self):
+        # (a + 1 + sqrt(b))/2 is above phi_3, but the two formulas share a
+        report = bound_report(self.P4)
+        a, b = report.phis.surds[2]
+        shu_wu = report.shu_wu_surds[:2] + ((a + 1, b),) + report.shu_wu_surds[3:]
+        details, _ = _dominance(self.P4, shu_wu_surds=shu_wu)
+        assert details == [f"phi_3 pair {(a, b)} is not at most shu_wu_3 pair {(a + 1, b)}"]
+
+    def test_hong_shu_fang_radicand_one_off_phi_n(self, monkeypatch):
+        a, b = phi_surd(self.P4, 4)
+        assert hong_shu_fang_surd(self.P4) == (a, b)
+        for off in (b - 1, b + 1):
+            monkeypatch.setattr(harness, "hong_shu_fang_surd", lambda seq: (a, off))
+            details, _ = _dominance(self.P4)
+            assert details == [f"phi_n pair {(a, b)} != hong_shu_fang pair {(a, off)}"]
 
     def test_largest_star_ties_at_level_two(self):
         # n at the graph6 limit: phi_2 = shu_wu_2 = sqrt(n - 1), and every
@@ -482,6 +494,45 @@ class TestDominanceCheck:
 
     def test_regular_is_not_tight(self):
         assert _dominance(DegreeSequence.from_degrees((3,) * 6)) == ([], False)
+
+
+class TestUnimodalityCheck:
+    """The step comparator and the argmin are checked against exact surd
+    comparisons, so a gap below any float tolerance is still ordered."""
+
+    def test_gap_below_a_nanounit_is_ordered(self):
+        # phi_32000 - phi_32001 is about 9.75e-10: a float cross-check within
+        # 1e-9 calls that step a tie and the argmin {32001..64000} ambiguous
+        seq = DegreeSequence.from_degrees([32000] + [31999] * 31999 + [31998] * 32000 + [1])
+        assert compare_step(seq, 32000) == GREATER
+        assert 0 < phi(seq, 32000) - phi(seq, 32001) < 1e-9
+        assert harness._unimodality(seq, bound_report(seq)) == ([], False)
+
+    def test_plateau_across_a_degree_change(self):
+        # phi_4 = phi_5 = phi_6 = 3 from the different pairs (1, 25) and (0, 36)
+        seq = DegreeSequence.from_degrees((4, 3, 3, 2, 1, 1))
+        assert phi_surd(seq, 4) != phi_surd(seq, 5)
+        assert harness._unimodality(seq, bound_report(seq)) == ([], False)
+
+    def test_forged_argmin(self):
+        seq = DegreeSequence.from_degrees((4, 3, 3, 2, 1, 1))
+        report = bound_report(seq)
+        phis = dataclasses.replace(report.phis, argmin_levels=frozenset({4}))
+        details, _ = harness._unimodality(seq, dataclasses.replace(report, phis=phis))
+        assert details == ["structural argmin [4] (pivot 5) != scanned argmin [4, 5, 6]"]
+
+    def test_wrong_step_ordering(self, monkeypatch):
+        seq = DegreeSequence.from_degrees((2, 2, 1, 1))
+        monkeypatch.setattr(harness, "compare_step", lambda seq, s: LESS)
+        details, _ = harness._unimodality(seq, bound_report(seq))
+        assert details == [
+            f"integer comparator says {LESS} at step 1 but the pairs (1, 9) and (1, 9) "
+            f"compare {EQUAL}",
+            f"integer comparator says {LESS} at step 2 but the pairs (1, 9) and (0, 12) "
+            f"compare {GREATER}",
+            f"integer comparator says {LESS} at step 3 but the pairs (0, 12) and (0, 12) "
+            f"compare {EQUAL}",
+        ]
 
 
 class TestSequenceMemo:
@@ -495,8 +546,9 @@ class TestSequenceMemo:
 
     def test_sequence_messages_name_no_graph(self, monkeypatch):
         # two labelings of the 4-path share one sequence; the star has its
-        # own.  A negative comparator tolerance makes every float step a
-        # violation whose message the memo hands to both labelings.
+        # own.  A step comparator that reverses every ordering disagrees
+        # with the exact surd comparison at a step of each sequence, and the
+        # memo hands that message to both labelings.
         graphs = [
             Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
             Graph.from_edges(4, [(0, 2), (1, 2), (1, 3)]),
@@ -504,7 +556,7 @@ class TestSequenceMemo:
         ]
         ids = [encode_graph6(g) for g in graphs]
         assert len(set(ids)) == 3
-        monkeypatch.setitem(harness.TOLERANCES, "comparator", -1.0)
+        monkeypatch.setattr(harness, "compare_step", lambda seq, s: -compare_step(seq, s))
         expected = [examine_graph_reference(g, CHECKS) for g in graphs]
         for ident, (_, violations, _) in zip(ids, expected):
             assert violations and {gid for gid, _, _ in violations} == {ident}

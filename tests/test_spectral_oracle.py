@@ -30,6 +30,8 @@ from rho_bounds import harness, spectral_oracle
 from rho_bounds.spectral_oracle import (
     CHARPOLY_MAX_N,
     FIELD_BITS,
+    POWER_RESIDUAL,
+    ROOT_ENCLOSURE,
     _at_or_above_root,
     _cached_root,
     _certified_ends,
@@ -38,7 +40,6 @@ from rho_bounds.spectral_oracle import (
     _ritz_coefficients,
     largest_real_root,
 )
-from rho_bounds.tolerances import TOLERANCES
 
 BOTH_METHODS = (spectral_radius_power, spectral_radius_charpoly)
 
@@ -76,7 +77,7 @@ class TestPowerIteration:
             # eigenvalue of the symmetric A, here the largest, within
             # sqrt(n) * tol of rho
             if g.n <= CHARPOLY_MAX_N:
-                near = math.sqrt(g.n) * TOLERANCES["power_residual"]
+                near = math.sqrt(g.n) * POWER_RESIDUAL
                 cp = spectral_radius_charpoly(g)
                 assert cp.lo - near <= res.rho <= cp.hi + near
             # one product for each of the k steps, each regenerated vector
@@ -164,7 +165,7 @@ class TestCertifiedEnds:
         monkeypatch.setattr(spectral_oracle, "_certified_ends", spy)
         res = spectral_radius_power(lollipop(clique, path))
         assert seen == [True]
-        assert res.lo <= res.rho <= res.hi <= res.rho + 2 * TOLERANCES["power_residual"]
+        assert res.lo <= res.rho <= res.hi <= res.rho + 2 * POWER_RESIDUAL
         assert res.rho - res.lo <= 1e-12
 
 
@@ -504,7 +505,7 @@ def _certified(coeffs, lo, hi):
     and hi - lo within the enclosure tolerance."""
     chain = _derivative_chain(coeffs)
     below = (lo, hi) == (0.0, 0.0) or not _at_or_above_root(chain, lo)
-    return below and _at_or_above_root(chain, hi) and hi - lo <= TOLERANCES["root_enclosure"]
+    return below and _at_or_above_root(chain, hi) and hi - lo <= ROOT_ENCLOSURE
 
 
 class TestRootIsolation:

@@ -1,15 +1,20 @@
-"""The tolerance table is the only place a tolerance is written down."""
+"""The two solver stops in ``spectral_oracle`` are the only tolerances.
 
-import ast
+POWER_RESIDUAL and ROOT_ENCLOSURE are the table: every exponent literal of
+the package is written there, and no verdict reads one, since the sequence
+checks compare exact surd pairs and the graph checks certified ends.
+"""
+
 import io
 import tokenize
 from pathlib import Path
 
 import rho_bounds
-from rho_bounds import harness
-from rho_bounds.tolerances import TOLERANCES
+from rho_bounds import harness, spectral_oracle
+from rho_bounds.spectral_oracle import POWER_RESIDUAL, ROOT_ENCLOSURE
 
 PACKAGE = Path(rho_bounds.__file__).parent
+TABLE = ("POWER_RESIDUAL", "ROOT_ENCLOSURE")
 
 
 def _exponent_floats(path: Path) -> list[str]:
@@ -24,37 +29,28 @@ def _exponent_floats(path: Path) -> list[str]:
     ]
 
 
+def _names(path: Path) -> list[str]:
+    """Every name token of a module, in order, repeats kept."""
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    return [tok.string for tok in tokens if tok.type == tokenize.NAME]
+
+
 def test_no_exponent_literal_outside_the_table():
     sources = sorted(PACKAGE.glob("*.py"))
-    assert PACKAGE / "tolerances.py" in sources
+    assert not (PACKAGE / "tolerances.py").exists()
     found = [
-        hit for path in sources if path.name != "tolerances.py"
+        hit for path in sources if path.name != "spectral_oracle.py"
         for hit in _exponent_floats(path)
     ]
     assert found == []
-
-
-def _string_literals(path: Path) -> set[str]:
-    """The value of every plain string literal in a module."""
-    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
-    return {
-        ast.literal_eval(tok.string) for tok in tokens
-        if tok.type == tokenize.STRING and tok.string[0] in "'\""
-    }
+    table = _exponent_floats(PACKAGE / "spectral_oracle.py")
+    assert [hit.split(": ")[1] for hit in table] == ["1e-9", "1e-13"]
 
 
 def test_every_entry_is_read_by_name():
-    # a tolerance no module names outside the table decides nothing
-    names = set().union(*(
-        _string_literals(path) for path in PACKAGE.glob("*.py") if path.name != "tolerances.py"
-    ))
-    assert sorted(TOLERANCES.keys() - names) == []
-
-
-def test_the_scan_sees_string_literals(tmp_path):
-    path = tmp_path / "sample.py"
-    path.write_text('a = tols["oracle"] + t[\'equality\']  # "dominance"\nb = f"{x}"\n')
-    assert _string_literals(path) == {"oracle", "equality"}
+    # a tolerance the solvers never name past its definition decides nothing
+    names = _names(PACKAGE / "spectral_oracle.py")
+    assert [names.count(name) > 1 for name in TABLE] == [True, True]
 
 
 def test_the_scan_sees_exponent_literals(tmp_path):
@@ -64,12 +60,14 @@ def test_the_scan_sees_exponent_literals(tmp_path):
 
 
 def test_values_pinned():
-    assert TOLERANCES == {
-        "comparator": 1e-9,
-        "power_residual": 1e-9,
-        "root_enclosure": 1e-13,
-    }
+    assert (POWER_RESIDUAL, ROOT_ENCLOSURE) == (1e-9, 1e-13)
 
 
-def test_harness_reads_the_table():
-    assert harness.TOLERANCES is TOLERANCES
+def test_harness_and_bounds_read_no_tolerance():
+    # the checks and the bounds decide in integers: neither module names a
+    # solver stop or a TOLERANCES table
+    for module in ("harness.py", "bounds.py"):
+        names = set(_names(PACKAGE / module))
+        assert names.isdisjoint({*TABLE, "TOLERANCES"}), module
+    assert not hasattr(harness, "TOLERANCES")
+    assert not hasattr(spectral_oracle, "TOLERANCES")
