@@ -8,7 +8,7 @@ check tests a prediction against certified ends of the spectral radius.
 ``tight_levels``, the float tight set at a given tolerance, has two callers,
 the benchmark's per-layer trace (``perfbench/layers.py``) and the tests'
 ``check_equality_numeric``; the next benchmark change deletes it
-(ROADMAP item 1).
+(ROADMAP item 1b).
 """
 
 from __future__ import annotations

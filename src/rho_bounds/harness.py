@@ -35,7 +35,10 @@ from .graph_core import (
     read_input,
 )
 from .proof_replay import CertificateViolationError, row_slacks
-from .spectral_oracle import CHARPOLY_MAX_N, spectral_radius_charpoly, spectral_radius_power
+from .spectral_oracle import (
+    CHARPOLY_MAX_N, at_or_above_root, characteristic_polynomial, derivative_chain,
+    spectral_radius_power,
+)
 
 CSV_COLUMNS = (
     "id", "n", "m", "rho", "phi_min", "pivot", "phi_n", "hong_shu_fang",
@@ -198,25 +201,27 @@ def _replay(g, seq, report, spec):
 
 
 def _oracle(g, seq, report, spec):
+    # lo < rho <= hi for the charpoly's largest root rho, by exact signs of
+    # the polynomial and its derivatives at each end
     details = []
-    meet = False
     if seq.n <= CHARPOLY_MAX_N:
-        cp = spectral_radius_charpoly(g)
-        meet = cp.lo <= spec.hi and spec.lo <= cp.hi
-        if not meet:
-            details.append(f"Lanczos [{spec.lo!r}, {spec.hi!r}] and charpoly "
-                           f"[{cp.lo!r}, {cp.hi!r}] are disjoint")
+        chain = derivative_chain(characteristic_polynomial(g))
+        if not at_or_above_root(chain, spec.hi):
+            details.append(f"Lanczos hi={spec.hi!r} is below the charpoly's largest root")
+        if at_or_above_root(chain, spec.lo):
+            details.append(f"Lanczos lo={spec.lo!r} is not below the charpoly's largest root")
+    tight = seq.n <= CHARPOLY_MAX_N and not details
     # [2m/n, d_1] meets [lo, hi]: 2m/n <= hi = p/q and lo <= d_1, exactly
     p, q = spec.hi.as_integer_ratio()
     d1 = seq.degrees[0]
     if seq.n * p < 2 * seq.m * q or spec.lo > d1:
         details.append(f"[{spec.lo!r}, {spec.hi!r}] misses [{2 * seq.m / seq.n!r}, {d1}]")
-    return details, meet
+    return details, tight
 
 
 #: Check names in canonical (report) order.  'oracle' tests Lanczos's
 #: enclosure against [2m/n, d_1] at every n and, for graphs small enough for
-#: the exact characteristic polynomial, against the charpoly's enclosure.
+#: the exact characteristic polynomial, holds its largest root in (lo, hi].
 CHECKS = ("soundness", "dominance", "equality", "unimodality", "replay", "oracle")
 _GRAPH_CHECKS = {
     "soundness": _soundness,

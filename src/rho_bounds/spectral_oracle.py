@@ -8,7 +8,9 @@ largest real root with a certified bisection.  The two share no code path
 so their agreement is a meaningful cross-check.  Each returns certified
 ends lo <= rho <= hi: exact sign tests for the charpoly, and for Lanczos the
 Collatz-Wielandt bracket of its Ritz vector (Collatz 1942; Wielandt 1950),
-from exact integer products.
+from exact integer products.  A campaign needs no charpoly enclosure: it
+decides lo < rho <= hi for Lanczos's own ends with the same exact sign test
+(``at_or_above_root`` on the polynomial's ``derivative_chain``).
 
 Lanczos keeps the tridiagonal's coefficients and its first
 max(1, KEPT_FLOATS // n) vectors, so its memory is O(n + k) after k steps
@@ -30,16 +32,15 @@ The characteristic polynomial comes from Faddeev-LeVerrier with each matrix
 row packed into one Python integer of FIELD_BITS-bit signed fields; at
 n <= CHARPOLY_MAX_N every entry fits its field (bound in
 ``characteristic_polynomial``), and the exact trace divisions and the
-Cayley-Hamilton check still guard every result.  Root isolation is cached
-per process by (polynomial, maximum degree), an exact key.
+Cayley-Hamilton check still guard every result.
 
 POWER_RESIDUAL and ROOT_ENCLOSURE, the solvers' stops, are the package's only
 tolerances; they set how close the certified ends are, and no verdict reads
-them."""
+them.  ROOT_ENCLOSURE sets only ``spectral_radius_charpoly``'s width, which
+no campaign runs."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -406,7 +407,9 @@ def characteristic_polynomial(g: Graph) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _derivative_chain(coeffs: tuple[int, ...]) -> list[list[int]]:
+def derivative_chain(coeffs: tuple[int, ...]) -> list[list[int]]:
+    """The polynomial's coefficients, constant term first, then those of
+    each derivative down to the constant one: ``at_or_above_root``'s chain."""
     chain = [list(coeffs)]
     while len(chain[-1]) > 1:
         p = chain[-1]
@@ -414,7 +417,7 @@ def _derivative_chain(coeffs: tuple[int, ...]) -> list[list[int]]:
     return chain
 
 
-def _at_or_above_root(chain: list[list[int]], x: float) -> bool:
+def at_or_above_root(chain: list[list[int]], x: float) -> bool:
     """Exact test of x >= (largest real root), for a monic polynomial whose
     roots are all real.
 
@@ -451,7 +454,7 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
     sign tests then narrows it to at most ROOT_ENCLOSURE.
     """
     n = len(coeffs) - 1
-    chain = _derivative_chain(coeffs)
+    chain = derivative_chain(coeffs)
     cf = [float(x) for x in coeffs]
     dcf = [cf[i] * i for i in range(1, n + 1)]
     iterations = 0
@@ -472,30 +475,23 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
         x = nxt
 
     hi = x + ROOT_ENCLOSURE
-    if not _at_or_above_root(chain, hi):
+    if not at_or_above_root(chain, hi):
         hi = float(upper)
     lo = x - ROOT_ENCLOSURE
-    if lo <= 0.0 or _at_or_above_root(chain, lo):
+    if lo <= 0.0 or at_or_above_root(chain, lo):
         lo = 0.0
-        if _at_or_above_root(chain, lo):
+        if at_or_above_root(chain, lo):
             return 0.0, 0.0, iterations
     while hi - lo > ROOT_ENCLOSURE:
         iterations += 1
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if _at_or_above_root(chain, mid):
+        if at_or_above_root(chain, mid):
             hi = mid
         else:
             lo = mid
     return lo, hi, iterations
-
-
-# The characteristic polynomial is a graph invariant and the root depends
-# only on (coeffs, upper), so isomorphic graphs share one entry.  The key is
-# exact and the function deterministic: a warm entry returns what a fresh
-# call would, whichever process holds the cache.
-_cached_root = functools.lru_cache(maxsize=1 << 14)(largest_real_root)
 
 
 def spectral_radius_charpoly(g: Graph) -> SpectralResult:
@@ -505,12 +501,8 @@ def spectral_radius_charpoly(g: Graph) -> SpectralResult:
     certifies its ends by integer sign tests, falling back to these proven
     ends where a bracket around Newton's point fails, so the result is
     independent of the power method in both algorithm and arithmetic.
-    ``rho`` is the midpoint of the certified ends ``lo`` and ``hi``.  The
-    root isolation is cached per process under the exact key
-    (characteristic polynomial, maximum degree); the polynomial itself is
-    computed for every graph.
+    ``rho`` is the midpoint of the certified ends ``lo`` and ``hi``.
     """
-    coeffs = characteristic_polynomial(g)
     d1 = max((len(nb) for nb in g.neighbors), default=0)
-    lo, hi, iterations = _cached_root(coeffs, d1)
+    lo, hi, iterations = largest_real_root(characteristic_polynomial(g), d1)
     return SpectralResult(0.5 * (lo + hi), iterations, lo, hi)

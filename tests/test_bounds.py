@@ -210,6 +210,10 @@ class TestBrualdiHoffman:
         for m in range(100_001):
             assert bound_brualdi_hoffman(m) == brualdi_hoffman_reference(m), m
 
+    def test_negative_edge_count(self):
+        with pytest.raises(ValueError, match="nonnegative, got -1$"):
+            bound_brualdi_hoffman(-1)
+
     @pytest.mark.parametrize("k", [10**15 + 7, 10**100])
     def test_huge_edge_count(self, k):
         # the counting loop would take k steps at these triangular numbers
@@ -355,6 +359,13 @@ class TestSurdComparator:
                         assert compare_half_surds(a1, b1, a2, b2) == expected, (
                             (a1, b1, a2, b2)
                         )
+
+    @pytest.mark.parametrize("b1, b2", [(4, -1), (-1, 4)], ids=["right", "left"])
+    def test_negative_radicand(self, b1, b2):
+        # a = 3 puts the left side above the right for any radicands, so no
+        # comparison decides before the radicand is read
+        with pytest.raises(ValueError, match="radicand must be nonnegative, got -1$"):
+            compare_half_surds(3, b1, 0, b2)
 
 
 class TestSurdSign:

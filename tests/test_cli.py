@@ -261,6 +261,23 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "violation [equality] Bo: forged" in captured.err
 
+    def test_violations_past_fifty_are_counted(self, capsys, monkeypatch):
+        # every graph of n = 5 fails one check: stderr shows the first 50
+        # violations and counts the rest, and the JSON report keeps all 728
+        monkeypatch.setitem(harness._GRAPH_CHECKS, "oracle",
+                            lambda g, seq, report, spec: (["forged"], False))
+        assert run(["verify", "--n", "5", "--output", "json"]) == 1
+        captured = capsys.readouterr()
+        violations = json.loads(captured.out)["violations"]
+        assert len({v["id"] for v in violations}) == len(violations) == 728
+        assert "violation [" not in captured.err
+        assert run(["verify", "--n", "5"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-51:] == [
+            *(f"violation [oracle] {v['id']}: forged" for v in violations[:50]),
+            "... and 678 more",
+        ]
+
     def test_selected_checks_only(self, capsys):
         assert run(["verify", "--n", "3", "--checks", "soundness,dominance"]) == 0
         err = capsys.readouterr().err

@@ -101,6 +101,18 @@ class TestEncodeGraph6:
     def test_round_trip_random(self, g):
         assert parse_graph6(encode_graph6(g)) == g
 
+    def test_past_the_limit_refused_before_allocating(self):
+        # the field alone would take about 4 GB at n = 258,048
+        g = Graph(258048, ((),) * 258048)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n <= 258047, got 258048$"):
+                encode_graph6(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 def _parse_outcome(parse, text):
     """The parsed graph, or the error's message and offset."""
@@ -226,6 +238,9 @@ class TestParseEdgeList:
     def test_p4(self):
         g = parse_edge_list("4\n0 1\n1 2\n2 3")
         assert g == gen_named("path", 4)
+
+    def test_blank_lines_skipped(self):
+        assert parse_edge_list("4\n0 1\n\n1 2\n  \t\n2 3\n\n") == gen_named("path", 4)
 
     def test_duplicate_edges_idempotent(self):
         g = parse_edge_list("3\n0 1\n0 1\n1 2")
@@ -447,6 +462,11 @@ class TestEnumerateConnected:
         # n=8 has no override: it gets the plain range error
         with pytest.raises(ValueError, match=r"1 <= n <= 7, got 8$"):
             next(enumerate_connected(8))
+
+    def test_mask_range_outside_the_space(self):
+        # n = 3 has 2^3 = 8 masks
+        with pytest.raises(ValueError, match=r"mask_range \(0, 9\) outside \[0, 8\]"):
+            next(enumerate_connected(3, mask_range=(0, 9)))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -36,8 +36,11 @@ from rho_bounds.bounds import (
     phi_surd,
 )
 from rho_bounds.graph_core import enumeration_space
+from rho_bounds.spectral_oracle import CHARPOLY_MAX_N
 
-from conftest import examine_graph_reference, lollipop, run_chunk_reference
+from conftest import (
+    examine_graph_reference, lollipop, random_connected_graph, run_chunk_reference,
+)
 
 
 def campaign(tmp_path=None, **kwargs):
@@ -356,28 +359,44 @@ class TestExactVerdicts:
             details, _ = _graph_check("equality", self.STAR, cert, **ends)
             assert len(details) == 1 and details[0].endswith("disagrees at levels [3, 4]")
 
-    def test_oracle_disjoint_enclosures(self):
-        details, tight = _graph_check("oracle", gen_named("complete", 3), lo=2.5, hi=2.6)
-        assert details[0].startswith("Lanczos [2.5, 2.6] and charpoly [")
-        assert details[0].endswith("are disjoint")
-        assert details[1:] == ["[2.5, 2.6] misses [2.0, 2]"]
+    def test_oracle_names_each_failing_end(self):
+        # K3's root is 2: lo must lie below it and hi at or above it
+        k3 = gen_named("complete", 3)
+        below = "is not below the charpoly's largest root"
+        details, tight = _graph_check("oracle", k3, lo=2.5, hi=2.6)
+        assert details == [f"Lanczos lo=2.5 {below}", "[2.5, 2.6] misses [2.0, 2]"]
         assert not tight
+        details, tight = _graph_check("oracle", k3, lo=1.5, hi=1.9)
+        assert details == ["Lanczos hi=1.9 is below the charpoly's largest root",
+                           "[1.5, 1.9] misses [2.0, 2]"]
+        assert not tight
+        assert _graph_check("oracle", k3, lo=2.0, hi=2.0) == ([f"Lanczos lo=2.0 {below}"], False)
+        assert _graph_check("oracle", k3, lo=math.nextafter(2.0, 0.0), hi=2.0) == ([], True)
 
     def test_oracle_bracket_missed_exactly(self, monkeypatch):
         # 2m/n = 4/3 on the 3-path; the float 4/3 lies below it, so an
         # enclosure ending there misses [4/3, 2] although hi * n == 2m in
-        # floats.  The charpoly is forged to agree, so only the bracket speaks.
+        # floats.  The charpoly is forged to x^2 (x - 1), whose root 1 lies
+        # in (lo, hi], so only the bracket speaks.
         path = gen_named("path", 3)
-        spec = spectral_radius_power(path)
+        monkeypatch.setattr(harness, "characteristic_polynomial", lambda g: (0, 0, -1, 1))
         for hi, missed in ((4 / 3, True), (math.nextafter(4 / 3, 2.0), False)):
-            forged = dataclasses.replace(spec, lo=1.0, hi=hi)
-            monkeypatch.setattr(harness, "spectral_radius_charpoly", lambda g: forged)
-            details, tight = _graph_check("oracle", path, spec=forged)
-            assert details == ([f"[1.0, {hi!r}] misses [{4 / 3!r}, 2]"] if missed else [])
+            details, tight = _graph_check("oracle", path, lo=0.5, hi=hi)
+            assert details == ([f"[0.5, {hi!r}] misses [{4 / 3!r}, 2]"] if missed else [])
             assert tight
 
     def test_oracle_tight_when_enclosures_meet(self):
         assert _graph_check("oracle", self.P4) == ([], True)
+
+    def test_oracle_tight_past_n7(self):
+        # Lanczos's ends hold the charpoly's root on seeded G(n, p) draws
+        # with 8 <= n <= 12, and on every lollipop with n <= 12
+        rng = random.Random(23)
+        graphs = [random_connected_graph(rng, rng.randint(8, 12), rng.uniform(0.25, 0.9))
+                  for _ in range(2000)]
+        graphs += [lollipop(c, n - c) for n in range(4, CHARPOLY_MAX_N + 1) for c in range(3, n)]
+        for g in graphs:
+            assert _graph_check("oracle", g) == ([], True), encode_graph6(g)
 
     def test_oracle_bracket_past_the_charpoly(self):
         # n = 13 is past the charpoly, but [2m/n, d_1] = [24/13, 2] is
@@ -521,6 +540,20 @@ class TestUnimodalityCheck:
         details, _ = harness._unimodality(seq, dataclasses.replace(report, phis=phis))
         assert details == ["structural argmin [4] (pivot 5) != scanned argmin [4, 5, 6]"]
 
+    def test_valley_shape(self, monkeypatch):
+        # the path's phi pairs are (1, 9), (1, 9), (0, 12), (0, 12): steps
+        # EQUAL, GREATER, EQUAL.  A forged LESS at step 1 is also a comparator
+        # disagreement, and the true GREATER after it is a fall after a rise
+        seq = DegreeSequence.from_degrees((2, 2, 1, 1))
+        monkeypatch.setattr(harness, "compare_step",
+                            lambda seq, s: LESS if s == 1 else compare_step(seq, s))
+        details, _ = harness._unimodality(seq, bound_report(seq))
+        assert details == [
+            f"integer comparator says {LESS} at step 1 but the pairs (1, 9) and (1, 9) "
+            f"compare {EQUAL}",
+            "phi sequence falls at step 2 after having risen",
+        ]
+
     def test_wrong_step_ordering(self, monkeypatch):
         seq = DegreeSequence.from_degrees((2, 2, 1, 1))
         monkeypatch.setattr(harness, "compare_step", lambda seq, s: LESS)
@@ -585,9 +618,9 @@ def _relabelings(g, count, rng):
 
 
 class TestClassMemo:
-    """The per-class memo (charpoly enclosure, replay outcome with no
-    details) changes no row, no violation and no tight count, and hands no
-    violation from one labeling to another."""
+    """The per-class memo (Lanczos's result, and every check's outcome but
+    replay's details) changes no row, no violation and no tight count, and
+    hands no violation from one labeling to another."""
 
     # degrees 3,2,2,2,2,1: a labeling moves vertex 0 between rows
     PAW_TAIL = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)])
@@ -627,7 +660,7 @@ class TestClassMemo:
                 return function(*args)
             return call
 
-        for name in ("spectral_radius_charpoly", "spectral_radius_power"):
+        for name in ("characteristic_polynomial", "spectral_radius_power"):
             monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
         for name, check in harness._GRAPH_CHECKS.items():
             monkeypatch.setitem(harness._GRAPH_CHECKS, name, counted(name, check))
@@ -636,24 +669,22 @@ class TestClassMemo:
         sequences = {degree_sequence(g).degrees for g in graphs}
         keys = {harness._class_key(g) for g in graphs}
         assert (len(sequences), len(keys)) == (19, 40)
-        assert calls.keys() == {"spectral_radius_charpoly", "spectral_radius_power",
+        assert calls.keys() == {"characteristic_polynomial", "spectral_radius_power",
                                 *harness._GRAPH_CHECKS}
         assert max(calls.values()) <= len(sequences) + len(keys)
 
     def test_violations_never_shared(self, monkeypatch):
-        # one class gets a charpoly enclosure disjoint from Lanczos's and a
-        # negative slack at vertex 0's row at every level; every member
-        # must name its own id, and its own row, as the reference does
+        # one class gets a forged charpoly and a negative slack at vertex
+        # 0's row at every level; every member must name its own id, the
+        # failing end and its own row, as the reference does.  The root 11
+        # of (x - 11) x^(n-1) lies above every hi, the root 0 of x^n at or
+        # below every lo
         rng = random.Random(3)
         members = _relabelings(self.PAW_TAIL, 8, rng)
         others = [h for family in ("path", "star")
                   for h in _relabelings(gen_named(family, 6), 3, rng)]
         ids = {encode_graph6(g) for g in members}
-        forged = SpectralResult(10.5, 0, 10.0, 11.0)
-        charpoly, slacks = harness.spectral_radius_charpoly, harness.row_slacks
-
-        def forged_charpoly(g):
-            return forged if encode_graph6(g) in ids else charpoly(g)
+        charpoly, slacks = harness.characteristic_polynomial, harness.row_slacks
 
         def forged_slacks(g, first=1):
             row = sorted(range(g.n), key=lambda v: -len(g.neighbors[v])).index(0)
@@ -663,21 +694,27 @@ class TestClassMemo:
                     level_slacks[row] = -1
                 yield level_slacks
 
-        monkeypatch.setattr(harness, "spectral_radius_charpoly", forged_charpoly)
         monkeypatch.setattr(harness, "row_slacks", forged_slacks)
         graphs = members + others
         rng.shuffle(graphs)
         chunk = ("graph6", [encode_graph6(g) for g in graphs])
-        rows, violations, skipped, tight = harness._run_chunk(CHECKS, chunk)
-        assert (rows, violations, skipped, tight) == run_chunk_reference(CHECKS, chunk)
-        assert {gid for gid, _, _ in violations} == ids
-        replay_rows = set()
-        for ident in ids:
-            mine = {(name, detail) for gid, name, detail in violations if gid == ident}
-            assert {name for name, _ in mine} >= {"oracle", "replay"}
-            replay_rows |= {detail.split()[1] for name, detail in mine
-                            if name == "replay" and detail.startswith("row ")}
-        assert len(replay_rows) > 1
+        n = self.PAW_TAIL.n
+        for forged, end in (((0,) * (n - 1) + (-11, 1), "hi"), ((0,) * n + (1,), "lo")):
+            monkeypatch.setattr(harness, "characteristic_polynomial",
+                                lambda g: forged if encode_graph6(g) in ids else charpoly(g))
+            rows, violations, skipped, tight = harness._run_chunk(CHECKS, chunk)
+            assert (rows, violations, skipped, tight) == run_chunk_reference(CHECKS, chunk)
+            assert {gid for gid, _, _ in violations} == ids
+            assert tight["oracle"] == len(others)
+            replay_rows = set()
+            for ident in ids:
+                mine = {(name, detail) for gid, name, detail in violations if gid == ident}
+                assert [detail.split("=")[0] for name, detail in mine
+                        if name == "oracle"] == [f"Lanczos {end}"]
+                assert {name for name, _ in mine} >= {"oracle", "replay"}
+                replay_rows |= {detail.split()[1] for name, detail in mine
+                                if name == "replay" and detail.startswith("row ")}
+            assert len(replay_rows) > 1
 
 
 class _InlinePool:

@@ -32,12 +32,11 @@ from rho_bounds.spectral_oracle import (
     FIELD_BITS,
     POWER_RESIDUAL,
     ROOT_ENCLOSURE,
-    _at_or_above_root,
-    _cached_root,
     _certified_ends,
-    _derivative_chain,
     _largest_eigenvalue,
     _ritz_coefficients,
+    at_or_above_root,
+    derivative_chain,
     largest_real_root,
 )
 
@@ -444,50 +443,6 @@ class TestPackedCharpoly:
         assert 2**n * (n - 1) ** (n + 1) < 2 ** (FIELD_BITS - 1)
 
 
-def _charpoly_outcome(res):
-    return res.rho.hex(), res.iterations, res.lo.hex(), res.hi.hex()
-
-
-def _uncached_outcome(g):
-    coeffs = characteristic_polynomial(g)
-    d1 = max((len(nb) for nb in g.neighbors), default=0)
-    lo, hi, iterations = largest_real_root(coeffs, d1)
-    return (0.5 * (lo + hi)).hex(), iterations, lo.hex(), hi.hex()
-
-
-class TestRootCache:
-    """The cached root isolation returns what the uncached function does,
-    bit for bit, whether the cache is cold or warm."""
-
-    def test_cold_and_warm(self):
-        graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
-        expected = [_uncached_outcome(g) for g in graphs]
-        _cached_root.cache_clear()
-        for _ in ("cold", "warm"):
-            got = [_charpoly_outcome(spectral_radius_charpoly(g)) for g in graphs]
-            assert got == expected
-        info = _cached_root.cache_info()
-        assert info.misses == info.currsize < len(graphs)
-
-    def test_cospectral_pair_keeps_its_own_degree(self):
-        # one characteristic polynomial, maximum degrees 5 and 3; the
-        # Newton sweep starts from the degree, so the iteration counts differ
-        g5 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (2, 3)])
-        g3 = Graph.from_edges(6, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3)])
-        assert characteristic_polynomial(g5) == characteristic_polynomial(g3)
-        assert degree_sequence(g5).degrees[0] == 5
-        assert degree_sequence(g3).degrees[0] == 3
-        assert _uncached_outcome(g5) != _uncached_outcome(g3)
-        for first, second in ((g5, g3), (g3, g5)):
-            _cached_root.cache_clear()
-            for g in (first, second, first, second):
-                assert _charpoly_outcome(spectral_radius_charpoly(g)) == _uncached_outcome(g)
-
-    def test_bounded_and_private(self):
-        assert _cached_root.cache_info().maxsize is not None
-        assert not hasattr(largest_real_root, "cache_info")
-
-
 def _root_keys():
     """Every distinct (charpoly, d1) key with n <= 6, and the keys of seeded
     G(n, p) draws with n = 7..12."""
@@ -503,9 +458,9 @@ def _root_keys():
 def _certified(coeffs, lo, hi):
     """lo < root <= hi by exact sign tests, or lo = hi = 0 for a root at 0,
     and hi - lo within the enclosure tolerance."""
-    chain = _derivative_chain(coeffs)
-    below = (lo, hi) == (0.0, 0.0) or not _at_or_above_root(chain, lo)
-    return below and _at_or_above_root(chain, hi) and hi - lo <= ROOT_ENCLOSURE
+    chain = derivative_chain(coeffs)
+    below = (lo, hi) == (0.0, 0.0) or not at_or_above_root(chain, lo)
+    return below and at_or_above_root(chain, hi) and hi - lo <= ROOT_ENCLOSURE
 
 
 class TestRootIsolation:
@@ -521,13 +476,13 @@ class TestRootIsolation:
         # falls back to the proven lower end 0
         coeffs = tuple(math.comb(8, k) * (-1) ** (8 - k) for k in range(9))
         tested = []
-        exact = spectral_oracle._at_or_above_root
+        exact = spectral_oracle.at_or_above_root
 
         def record(chain, x):
             tested.append(x)
             return exact(chain, x)
 
-        monkeypatch.setattr(spectral_oracle, "_at_or_above_root", record)
+        monkeypatch.setattr(spectral_oracle, "at_or_above_root", record)
         lo, hi, _ = largest_real_root(coeffs, 2)
         assert tested[2] == 0.0
         assert tested[1] > 1.0
