@@ -125,12 +125,14 @@ _NONZERO_RUN = re.compile(b"[^\0]+")
 _PIECE = 1 << 16  # body characters decoded at once: whole 4-character groups
 
 
-def check_graph6(text: str) -> tuple[str, int, int, int]:
-    """The header, length and byte-range checks of one graph6 record, which
-    raise GraphParseError.  Trailing whitespace/newline is tolerated.
-    Returns the record past any ``>>graph6<<`` prefix, the index of its
-    first data byte, its vertex count n and its n(n-1)/2 bits."""
-    s, base = _strip_record(text)
+def check_graph6(text: str) -> str:
+    """One graph6 record, checked: the text without trailing whitespace or
+    newline and without any ``>>graph6<<`` prefix, which is the form
+    :func:`decode_graph6` takes.  Its header, length and byte-range checks
+    raise GraphParseError, with the offset in ``text``."""
+    s = text.rstrip("\r\n \t")
+    base = 10 if s.startswith(">>graph6<<") else 0
+    s = s[base:]
     if not s:
         raise GraphParseError("empty graph6 record", base)
     if s[0] == ":":
@@ -147,8 +149,7 @@ def check_graph6(text: str) -> tuple[str, int, int, int]:
     n = _order(s, data_start)
     if n == 0:
         raise GraphParseError("graph6 record encodes zero vertices", base)
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
+    nbytes = (n * (n - 1) // 2 + 5) // 6
     size = len(s) - data_start
     if size < nbytes:
         raise GraphParseError(
@@ -162,18 +163,11 @@ def check_graph6(text: str) -> tuple[str, int, int, int]:
         )
     if bad := _NOT_G6.search(s, data_start):
         raise GraphParseError(f"invalid data byte {ord(bad[0])}", base + bad.start())
-    return s, data_start, n, nbits
-
-
-def _strip_record(text: str) -> tuple[str, int]:
-    """The record without trailing whitespace and any ``>>graph6<<`` prefix,
-    and the prefix's length."""
-    s = text.rstrip("\r\n \t")
-    return (s[10:], 10) if s.startswith(">>graph6<<") else (s, 0)
+    return s
 
 
 def _order(s: str, data_start: int) -> int:
-    """The vertex count n in a stripped record's header."""
+    """The vertex count n in a record's header."""
     n = 0
     for ch in s[1:4] if data_start == 4 else s[0]:
         n = n << 6 | ord(ch) - 63
@@ -181,28 +175,24 @@ def _order(s: str, data_start: int) -> int:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 record that passes :func:`check_graph6`."""
-    return _decode(*check_graph6(text))
+    """The graph of one graph6 record: :func:`decode_graph6` of what
+    :func:`check_graph6` returns, so a bad record raises GraphParseError."""
+    return decode_graph6(check_graph6(text))
 
 
-def decode_graph6(text: str) -> Graph:
-    """Decode one graph6 record that has already passed :func:`check_graph6`,
-    without checking it again; any other record gives an arbitrary graph
-    or error."""
-    s, _ = _strip_record(text)
-    data_start = 4 if s[0] == "~" else 1
-    n = _order(s, data_start)
-    return _decode(s, data_start, n, n * (n - 1) // 2)
-
-
-def _decode(s: str, data_start: int, n: int, nbits: int) -> Graph:
-    """The graph of a checked, stripped record (see :func:`check_graph6`)."""
+def decode_graph6(record: str) -> Graph:
+    """The graph of a record that :func:`check_graph6` returned, decoded
+    without checking it again; any other string gives an arbitrary graph or
+    error."""
+    data_start = 4 if record[0] == "~" else 1
+    n = _order(record, data_start)
+    nbits = n * (n - 1) // 2
     adj: list[list[int]] = [[] for _ in range(n)]
     j, column = 1, 0  # bits column .. column + j - 1 are the pairs (i, j), i < j
     # the field is decoded a piece at a time and walked by its runs of
     # nonzero bytes, so memory stays near the record's size
-    for start in range(data_start, len(s), _PIECE):
-        piece = s[start:start + _PIECE].encode().translate(_FROM_G6)
+    for start in range(data_start, len(record), _PIECE):
+        piece = record[start:start + _PIECE].encode().translate(_FROM_G6)
         field = base64.b64decode(piece + b"A" * (-len(piece) % 4))
         for run in _NONZERO_RUN.finditer(field):
             # the index of the run's first byte's least significant bit

@@ -393,9 +393,9 @@ def _chunks(cfg: CampaignConfig) -> list[tuple]:
     """Split the source into picklable chunks: ("enumerate", (n, start, stop)),
     ("graph6", records) or ("edgelist", text).  Every graph6 record is
     checked here, before any chunk runs, so a bad one leaves no report
-    behind, and the chunks decode without checking again.  A chunk's records
-    are stripped of any ``>>graph6<<`` prefix and trailing whitespace: each
-    is then its graph's id as read."""
+    behind.  A chunk holds each record as :func:`check_graph6` returns it,
+    without any ``>>graph6<<`` prefix or trailing whitespace: its graph's id
+    and what :func:`decode_graph6` reads."""
     if cfg.source == "enumerate":
         total = enumeration_space(cfg.n)
         return [
@@ -408,7 +408,7 @@ def _chunks(cfg: CampaignConfig) -> list[tuple]:
     records = graph6_records(text)
     for number, record in enumerate(records, start=1):
         try:
-            records[number - 1] = check_graph6(record)[0]
+            records[number - 1] = check_graph6(record)
         except GraphParseError as exc:
             raise GraphParseError(f"record {number}: {exc}") from exc
     return [

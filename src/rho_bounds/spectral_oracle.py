@@ -102,9 +102,9 @@ def _product(nbrs, q, q_prev, beta_prev: float) -> tuple[list[float], float]:
     return w, math.fsum(map(mul, q, w))
 
 
-def _pivots(alphas: list[float], beta2: list[float], x: float):
+def _pivots(alphas: list[float], betas: list[float], x: float):
     """One UDU^T pass over T - x*I from the last row up, T the k-by-k
-    tridiagonal with diagonal ``alphas`` and squared off-diagonal ``beta2``.
+    tridiagonal with diagonal ``alphas`` and off-diagonal ``betas``.
 
     The pivots are d_k = a_k - x and d_j = a_j - x - b_j^2 / d_{j+1}; their
     derivatives in x are e_k = -1 and e_j = -1 + b_j^2 e_{j+1} / d_{j+1}^2.
@@ -127,11 +127,11 @@ def _pivots(alphas: list[float], beta2: list[float], x: float):
     e = -1.0
     g = 0.0
     ratio = 1.0
-    for a, b2 in zip(rows, reversed(beta2)):
+    for a, b in zip(rows, reversed(betas)):
         if not d < 0.0:
             return None
         g += e / d
-        t = b2 / d
+        t = b * b / d
         u = t / d
         e = u * e - 1.0
         ratio *= u
@@ -139,7 +139,7 @@ def _pivots(alphas: list[float], beta2: list[float], x: float):
     return g, e, d, ratio
 
 
-def _largest_eigenvalue(alphas, beta2, upper: float, bound: float):
+def _largest_eigenvalue(alphas, betas, upper: float, bound: float):
     """Largest eigenvalue theta of the tridiagonal T, with e_1 and the
     product of ``_pivots`` at the last point evaluated (theta, or one
     Newton step above it).
@@ -154,10 +154,10 @@ def _largest_eigenvalue(alphas, beta2, upper: float, bound: float):
     is the root to rounding), or when a step no longer moves x down.
     """
     x = upper
-    found = _pivots(alphas, beta2, x)
+    found = _pivots(alphas, betas, x)
     while found is None or not found[2] < 0.0:
         x, bound = bound, bound + (bound - upper) + 1.0
-        found = _pivots(alphas, beta2, x)
+        found = _pivots(alphas, betas, x)
     g, e, d, ratio = found
     last = 0.0
     while True:
@@ -167,7 +167,7 @@ def _largest_eigenvalue(alphas, beta2, upper: float, bound: float):
             break
         if step * step * step <= last * last * math.ulp(x):
             return nxt, e, ratio
-        found = _pivots(alphas, beta2, nxt)
+        found = _pivots(alphas, betas, nxt)
         if found is None:
             break
         x, last = nxt, step
@@ -177,7 +177,7 @@ def _largest_eigenvalue(alphas, beta2, upper: float, bound: float):
     return x, e, ratio
 
 
-def _ritz_coefficients(alphas, beta2, betas, theta: float) -> list[float]:
+def _ritz_coefficients(alphas, betas, theta: float) -> list[float]:
     """The eigenvector s of T for its largest eigenvalue theta, scaled to
     s_1 = 1.
 
@@ -191,9 +191,9 @@ def _ritz_coefficients(alphas, beta2, betas, theta: float) -> list[float]:
     for j in range(k - 1, 0, -1):
         if not d < 0.0:
             # rounding put theta on an eigenvalue of a trailing block
-            return _ritz_coefficients(alphas, beta2, betas, math.nextafter(theta, math.inf))
+            return _ritz_coefficients(alphas, betas, math.nextafter(theta, math.inf))
         pivots[j] = d
-        d = alphas[j - 1] - theta - beta2[j - 1] / d
+        d = alphas[j - 1] - theta - betas[j - 1] * betas[j - 1] / d
     s = [1.0] * k
     for j in range(1, k):
         s[j] = s[j - 1] * betas[j - 1] / -pivots[j]
@@ -298,7 +298,6 @@ def spectral_radius_power(g: Graph) -> SpectralResult:
         q_prev, beta_prev = zeros, 0.0
         alphas: list[float] = []
         betas: list[float] = []
-        beta2: list[float] = []
         residual = gershgorin = 0.0
         predict = True
         while True:
@@ -319,7 +318,7 @@ def spectral_radius_power(g: Graph) -> SpectralResult:
                     theta, residual = theta + shift, beta * residual / (theta - alpha)
                 else:
                     theta, e, ratio = _largest_eigenvalue(
-                        alphas, beta2, theta + 2.0 * shift, max(gershgorin, alpha + beta_prev))
+                        alphas, betas, theta + 2.0 * shift, max(gershgorin, alpha + beta_prev))
                     residual = beta * math.sqrt(ratio / -e)
                     # skip again only after a solve within SOLVE_FACTOR
                     predict = residual <= SOLVE_FACTOR * tol
@@ -327,11 +326,10 @@ def spectral_radius_power(g: Graph) -> SpectralResult:
                 break
             gershgorin = max(gershgorin, alpha + beta_prev + beta)
             betas.append(beta)
-            beta2.append(beta * beta)
             q_prev, q, beta_prev = q, [wi / beta for wi in w], beta
             if len(kept) < keep:
                 kept.append(q)
-        s = _ritz_coefficients(alphas, beta2, betas, theta)
+        s = _ritz_coefficients(alphas, betas, theta)
         q, q_prev, beta_prev = kept[0], zeros, 0.0
         y = [s[0] * qi for qi in q]
         for j, (sj, alpha, beta) in enumerate(zip(islice(s, 1, None), alphas, betas), 1):

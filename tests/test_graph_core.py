@@ -179,18 +179,19 @@ class TestGraph6AgainstBitLoops:
         assert len(errors) == 10 and sum(isinstance(o, Graph) for o in outcomes) > 2000
 
     def test_decode_matches_parse_on_checked_records(self):
-        # the campaign's workers decode records the parent has checked
+        # the campaign's workers decode what the parent's check returns: the
+        # record without its prefix or trailing whitespace
         rng = random.Random(20001)
         checked = []
         for record in _fuzzed_records(rng, 5000):
             try:
-                graph_core.check_graph6(record)
+                checked.append((record, graph_core.check_graph6(record)))
             except GraphParseError:
                 continue
-            checked.append(record)
         assert len(checked) > 500
-        for record in checked:
-            assert graph_core.decode_graph6(record) == parse_graph6(record)
+        for record, stripped in checked:
+            assert stripped == record.rstrip("\r\n \t").removeprefix(">>graph6<<")
+            assert graph_core.decode_graph6(stripped) == parse_graph6_bitloop(record)
 
     def test_nonzero_padding_ignored(self):
         rng = random.Random(3)

@@ -23,6 +23,7 @@ from rho_bounds import (
     gen_join_dominating,
     gen_named,
     is_connected,
+    parse_graph6,
     spectral_radius_charpoly,
     spectral_radius_power,
 )
@@ -34,6 +35,7 @@ from rho_bounds.spectral_oracle import (
     ROOT_ENCLOSURE,
     _certified_ends,
     _largest_eigenvalue,
+    _pivots,
     _ritz_coefficients,
     at_or_above_root,
     derivative_chain,
@@ -201,8 +203,8 @@ def _forced_restart(monkeypatch, g, head=(1.0,)):
     start: its explicit residual fails, and Lanczos restarts from y."""
     calls = []
 
-    def first_vector_once(alphas, beta2, betas, theta):
-        s = _ritz_coefficients(alphas, beta2, betas, theta)
+    def first_vector_once(alphas, betas, theta):
+        s = _ritz_coefficients(alphas, betas, theta)
         calls.append(len(s))
         return s if len(calls) > 1 else [*head] + [0.0] * (len(s) - len(head))
 
@@ -350,11 +352,11 @@ class TestTridiagonal:
 
     @pytest.mark.parametrize("k", [2, 3, 10, 60])
     def test_path_matrix(self, k):
-        alphas, beta2, betas = [0.0] * k, [1.0] * (k - 1), [1.0] * (k - 1)
+        alphas, betas = [0.0] * k, [1.0] * (k - 1)
         exact = 2 * math.cos(math.pi / (k + 1))
-        theta, e, ratio = _largest_eigenvalue(alphas, beta2, 2.0, 2.0)
+        theta, e, ratio = _largest_eigenvalue(alphas, betas, 2.0, 2.0)
         assert abs(theta - exact) <= 1e-14
-        s = _ritz_coefficients(alphas, beta2, betas, theta)
+        s = _ritz_coefficients(alphas, betas, theta)
         expected = [math.sin(j * math.pi / (k + 1)) / math.sin(math.pi / (k + 1))
                     for j in range(1, k + 1)]
         assert max(abs(a - b) / b for a, b in zip(s, expected)) <= 1e-12
@@ -370,10 +372,18 @@ class TestTridiagonal:
         assert abs(theta - 2.0) <= 1e-15
         assert abs(e + 2.0) <= 1e-6 and abs(ratio - 1.0) <= 1e-6
 
+    def test_guess_below_a_trailing_block(self):
+        # [[0, 1], [1, 2]] has eigenvalues 1 +- sqrt(2): the guess 1 is below
+        # the trailing block's eigenvalue 2, so the pass stops there and the
+        # solver starts again from the proven bound
+        assert _pivots([0.0, 2.0], [1.0], 1.0) is None
+        theta, e, ratio = _largest_eigenvalue([0.0, 2.0], [1.0], 1.0, 3.0)
+        assert theta == 2.414213562373095  # 1 + sqrt(2)
+
     def test_theta_on_a_trailing_eigenvalue(self):
         # theta equal to a_2 puts the trailing pivot at zero: the eigenvector
         # is taken one ulp higher, finite and positive
-        s = _ritz_coefficients([3.0, 1.0], [1e-20], [1e-10], 1.0)
+        s = _ritz_coefficients([3.0, 1.0], [1e-10], 1.0)
         assert s[0] == 1.0 and 0.0 < s[1] < math.inf
 
 
@@ -441,6 +451,16 @@ class TestPackedCharpoly:
         # CHARPOLY_MAX_N past the signed field width must fail here
         n = CHARPOLY_MAX_N
         assert 2**n * (n - 1) ** (n + 1) < 2 ** (FIELD_BITS - 1)
+
+    @pytest.mark.parametrize("record, message", [
+        ("D~{", "Faddeev-LeVerrier trace .* not divisible by"),  # K5
+        ("Fow?g", "Cayley-Hamilton check failed"),
+    ])
+    def test_overflowing_fields_are_caught(self, monkeypatch, record, message):
+        # 4-bit fields overflow on these graphs; each exactness guard catches one
+        monkeypatch.setattr(spectral_oracle, "FIELD_BITS", 4)
+        with pytest.raises(AssertionError, match=message):
+            characteristic_polynomial(parse_graph6(record))
 
 
 def _root_keys():
