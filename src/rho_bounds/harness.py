@@ -34,7 +34,7 @@ from .graph_core import (
     parse_edge_list,
     read_input,
 )
-from .proof_replay import CertificateViolationError, row_slacks
+from .proof_replay import row_slacks
 from .spectral_oracle import (
     CHARPOLY_MAX_N, at_or_above_root, characteristic_polynomial, derivative_chain,
     spectral_radius_power,
@@ -60,8 +60,7 @@ _FILE_CHUNK = 5000
 # half-surds (a + sqrt(b))/2, and the graph checks the certified ends
 # lo <= rho <= hi, each a dyadic compared exactly with phi_l.  Lanczos's
 # result and every graph check's outcome depend only on the graph's
-# isomorphism class, so one result serves every graph of a class, except
-# replay's violation details, which name a row of their own labeling.
+# isomorphism class, so one result serves every graph of a class.
 # ---------------------------------------------------------------------------
 
 def _end_vs_phi(x: float, surd: tuple[int, int]) -> int:
@@ -184,11 +183,11 @@ def _replay(g, seq, report, spec):
             last = slacks
             low = min(slacks)
             # a row meets phi exactly when its slack is zero; the level is
-            # flat (rho(B) = phi) when every row does
+            # flat (rho(B) = phi) when every row does.  The least slack,
+            # unlike the row that holds it, is the same on every labeling
             zero = not any(slacks)
         if low < 0:
-            row = next(i for i, s in enumerate(slacks, start=1) if s < 0)
-            details.append(str(CertificateViolationError(level, row, slacks[row - 1])))
+            details.append(f"least slack {low} < 0 at level {level}")
         elif zero:
             flat.add(level)
     cert = report.cert
@@ -352,11 +351,10 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict, ident: str | N
     sequences holds no reports.  From a sequence's second sighting on, each
     graph's ``_class_key`` also indexes the entry's classes, which keep a
     ``_class_record``: Lanczos's result is the same bit for bit on every
-    labeling (see ``spectral_oracle``), and so is every check's outcome,
-    except that a replay violation names a row of its own labeling and is
-    recomputed on each graph.  So per graph there remain the degree sort
-    and memo lookup, the class key, the id and the row.  Returns (row,
-    violations, names of checks tight here).
+    labeling (see ``spectral_oracle``), and so is every check's outcome.
+    So per graph there remain the degree sort and memo lookup, the class
+    key, the id and the row.  Returns (row, violations, names of checks
+    tight here).
     """
     degrees = tuple(sorted(map(len, g.neighbors), reverse=True))
     entry = memo.get(degrees)
@@ -369,19 +367,14 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict, ident: str | N
     # a new degree tuple has no isomorph earlier in the chunk
     key = _class_key(g) if seen else None
     record = classes.get(key)
-    new = record is None
-    if new:
+    if record is None:
         record = _class_record(g, checks, seq, report, sequence_results)
         if seen:
             classes[key] = record
     spec, found, tight = record
     if ident is None:
         ident = encode_graph6(g)
-    violations = []
-    for name, details in found:
-        if name == "replay" and not new:
-            details = _replay(g, seq, report, spec)[0]
-        violations.extend((ident, name, detail) for detail in details)
+    violations = [(ident, name, detail) for name, details in found for detail in details]
     return report_row(ident, seq, report, spec.rho), violations, tight
 
 

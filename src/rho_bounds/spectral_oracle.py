@@ -443,7 +443,8 @@ def largest_real_root(coeffs: tuple[int, ...], upper: int) -> tuple[float, float
 
     The caller must know the root to lie in [0, ``upper``], ``upper`` an
     integer.  Returns (lo, hi, iterations) with lo < root <= hi certified by
-    exact sign tests and hi - lo at most ROOT_ENCLOSURE; a root at 0 gives
+    exact sign tests and hi - lo at most ROOT_ENCLOSURE, or adjacent floats
+    where floats lie farther apart (a root above 512); a root at 0 gives
     (0.0, 0.0).  A float Newton sweep from above supplies the initial guess:
     started above the largest root it falls monotonically, so it stops when
     a step no longer moves it down.  The bracket is one ROOT_ENCLOSURE to

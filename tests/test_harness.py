@@ -271,10 +271,11 @@ class TestReplayCheck:
         assert details == ["predicted tight levels [1] (Regular) but the zero-slack levels are []"]
 
     def test_negative_slack(self):
+        # the forged multigraph's slacks are (0, -1, 1) at level 2 and
+        # (-1, -2, 1) at level 3: each level reports its least slack
         details, tight = _replay(Graph(3, ((1, 1, 2), (0, 0), (0,))))
         assert not tight
-        assert details == [
-            "row 2 has slack -1 < 0 at level 2", "row 1 has slack -1 < 0 at level 3"]
+        assert details == ["least slack -1 < 0 at level 2", "least slack -2 < 0 at level 3"]
 
     def test_negative_slack_under_forged_regular_certificate(self):
         # a level with a negative slack is never flat, so the one set
@@ -282,8 +283,7 @@ class TestReplayCheck:
         cert = EqualityCertificate(REGULAR, None, frozenset({1, 2, 3}))
         details, tight = _replay(Graph(3, ((1, 1, 2), (0, 0), (0,))), cert)
         assert not tight
-        assert details[:2] == [
-            "row 2 has slack -1 < 0 at level 2", "row 1 has slack -1 < 0 at level 3"]
+        assert details[:2] == ["least slack -1 < 0 at level 2", "least slack -2 < 0 at level 3"]
         assert details[2:] == [
             "predicted tight levels [1, 2, 3] (Regular) but the zero-slack levels are []"]
 
@@ -618,9 +618,9 @@ def _relabelings(g, count, rng):
 
 
 class TestClassMemo:
-    """The per-class memo (Lanczos's result, and every check's outcome but
-    replay's details) changes no row, no violation and no tight count, and
-    hands no violation from one labeling to another."""
+    """The per-class memo (Lanczos's result and every check's outcome)
+    changes no row, no violation and no tight count, and hands no
+    violation from one labeling to another."""
 
     # degrees 3,2,2,2,2,1: a labeling moves vertex 0 between rows
     PAW_TAIL = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)])
@@ -675,10 +675,11 @@ class TestClassMemo:
 
     def test_violations_never_shared(self, monkeypatch):
         # one class gets a forged charpoly and a negative slack at vertex
-        # 0's row at every level; every member must name its own id, the
-        # failing end and its own row, as the reference does.  The root 11
-        # of (x - 11) x^(n-1) lies above every hi, the root 0 of x^n at or
-        # below every lo
+        # 0's row at every level; every member must name its own id and the
+        # failing end, as the reference does, and the same replay details:
+        # each level's least slack, whichever row of the labeling holds it.
+        # The root 11 of (x - 11) x^(n-1) lies above every hi, the root 0 of
+        # x^n at or below every lo
         rng = random.Random(3)
         members = _relabelings(self.PAW_TAIL, 8, rng)
         others = [h for family in ("path", "star")
@@ -706,15 +707,14 @@ class TestClassMemo:
             assert (rows, violations, skipped, tight) == run_chunk_reference(CHECKS, chunk)
             assert {gid for gid, _, _ in violations} == ids
             assert tight["oracle"] == len(others)
-            replay_rows = set()
+            replay = set()
             for ident in ids:
-                mine = {(name, detail) for gid, name, detail in violations if gid == ident}
+                mine = [(name, detail) for gid, name, detail in violations if gid == ident]
                 assert [detail.split("=")[0] for name, detail in mine
                         if name == "oracle"] == [f"Lanczos {end}"]
-                assert {name for name, _ in mine} >= {"oracle", "replay"}
-                replay_rows |= {detail.split()[1] for name, detail in mine
-                                if name == "replay" and detail.startswith("row ")}
-            assert len(replay_rows) > 1
+                replay.add(tuple(detail for name, detail in mine if name == "replay"))
+            assert replay == {tuple(f"least slack -1 < 0 at level {level}"
+                                    for level in range(1, n + 1))}
 
 
 class _InlinePool:

@@ -380,6 +380,22 @@ class TestTridiagonal:
         theta, e, ratio = _largest_eigenvalue([0.0, 2.0], [1.0], 1.0, 3.0)
         assert theta == 2.414213562373095  # 1 + sqrt(2)
 
+    def test_newton_point_below_a_trailing_block(self, monkeypatch):
+        # a pass that stops at a Newton point leaves the solver at the
+        # previous point, with that point's e_1 and product
+        points = []
+
+        def stop_at_second_newton_point(alphas, betas, x):
+            points.append(x)
+            return None if len(points) == 3 else _pivots(alphas, betas, x)
+
+        monkeypatch.setattr(spectral_oracle, "_pivots", stop_at_second_newton_point)
+        alphas, betas = [0.0] * 3, [1.0] * 2
+        theta, e, ratio = _largest_eigenvalue(alphas, betas, 2.0, 2.0)
+        _, e_prev, _, ratio_prev = _pivots(alphas, betas, points[1])
+        assert points[0] > points[1] > points[2]
+        assert (theta, e, ratio) == (points[1], e_prev, ratio_prev)
+
     def test_theta_on_a_trailing_eigenvalue(self):
         # theta equal to a_2 puts the trailing pivot at zero: the eigenvector
         # is taken one ulp higher, finite and positive
@@ -508,6 +524,47 @@ class TestRootIsolation:
         assert tested[1] > 1.0
         assert _certified(coeffs, lo, hi)
         assert lo < 1.0 <= hi
+
+
+    def test_upper_fallback_certified(self, monkeypatch):
+        # Newton stops just below the double root 2 of (x-2)^2 (x-1)^2, so
+        # the point one enclosure above it is still below the root, and the
+        # bracket falls back to the proven upper end 2
+        coeffs = (4, -12, 13, -6, 1)
+        tested = []
+        exact = spectral_oracle.at_or_above_root
+
+        def record(chain, x):
+            tested.append(x)
+            return exact(chain, x)
+
+        monkeypatch.setattr(spectral_oracle, "at_or_above_root", record)
+        lo, hi, _ = largest_real_root(coeffs, 2)
+        assert tested[0] < 2.0
+        assert hi == 2.0
+        assert _certified(coeffs, lo, hi)
+
+    def test_bisection_stops_at_adjacent_floats(self, monkeypatch):
+        # the root 2^50 of x - 2^50 has floats 0.125 apart below it, more
+        # than the enclosure: bisection ends once the midpoint rounds onto
+        # an end, rather than testing that point forever
+        coeffs = (-(2 ** 50), 1)
+        root = 2.0 ** 50
+        tests = 0
+        exact = spectral_oracle.at_or_above_root
+
+        def counted(chain, x):
+            nonlocal tests
+            tests += 1
+            assert tests <= 200, "bisection did not stop"
+            return exact(chain, x)
+
+        monkeypatch.setattr(spectral_oracle, "at_or_above_root", counted)
+        lo, hi, iterations = largest_real_root(coeffs, 2 ** 50)
+        assert (lo, hi, iterations) == (math.nextafter(root, 0.0), root, 56)
+        assert hi - lo == 0.125 > ROOT_ENCLOSURE
+        chain = derivative_chain(coeffs)
+        assert not exact(chain, lo) and exact(chain, hi)
 
 
 class TestCharpolyRadius:
