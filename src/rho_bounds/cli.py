@@ -23,7 +23,7 @@ from .graph_core import (
     GraphParseError,
     degree_sequence,
     encode_graph6,
-    enumerate_connected,
+    enumerate_records,
     graph6_records,
     is_connected,
     parse_edge_list,
@@ -185,8 +185,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    for g in enumerate_connected(args.n):
-        print(encode_graph6(g))
+    for record, _ in enumerate_records(args.n):
+        print(record)
     return 0
 
 

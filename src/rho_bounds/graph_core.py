@@ -8,9 +8,11 @@ structure.
 from __future__ import annotations
 
 import base64
+import functools
 import re
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -394,6 +396,108 @@ def check_enumeration_n(n: int) -> None:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}, got {n}")
 
 
+def _g6_bit(i: int, j: int) -> int:
+    """Edge (i, j)'s bit, i < j, in the first 24 bits of a graph6 body read
+    as one big-endian integer: four characters, enough for n <= 7."""
+    return 1 << 23 - (j * (j - 1) // 2 + i)
+
+
+@functools.lru_cache(maxsize=None)
+def _record_tables(n: int) -> tuple:
+    """What :func:`enumerate_records` looks up at n, built once:
+
+    - ``star``, ``star_bits``: for each neighbourhood S of vertex 0, vertex
+      0's neighbour tuple and S's graph6 bits;
+    - ``picks``: for each S, the getter that takes the graph's neighbour
+      tuples from its options (below);
+    - ``rows``: the neighbour tuple of each of the 2^n vertex sets;
+    - ``high_edges``: each edge (i, j) of vertices 1..n-1, in mask order,
+      with its graph6 bit;
+    - ``head``, ``tail``: for each value of the high and of the low 12 of
+      the 24 bits, the record's header and first two body characters, and
+      its last two (fewer where the body is shorter)."""
+    rows = [tuple(j for j in range(n) if bits >> j & 1) for bits in range(1 << n)]
+    half = 1 << n - 1
+    star = tuple(rows[s << 1] for s in range(half))
+    star_bits = [sum(_g6_bit(0, v) for v in range(1, n) if s >> v - 1 & 1) for s in range(half)]
+    # a graph's options are star, then for each vertex v >= 1 its tuple
+    # without and with vertex 0; itemgetter of one index (n = 1) would
+    # return the tuple instead of the 1-tuple that star already is
+    picks = [
+        itemgetter(s, *(half + 2 * v - 2 + (s >> v - 1 & 1) for v in range(1, n)))
+        if n > 1 else (lambda options: options)
+        for s in range(half)
+    ]
+    high_edges = [(i, j, _g6_bit(i, j)) for i in range(1, n) for j in range(i + 1, n)]
+    width = (n * (n - 1) // 2 + 5) // 6  # body characters
+
+    def chars(x: int, count: int) -> str:
+        return "".join(chr(63 + (x >> 6 - 6 * c & 63)) for c in range(count))
+
+    head = [chr(63 + n) + chars(x, min(width, 2)) for x in range(1 << 12)]
+    tail = [chars(x, max(width - 2, 0)) for x in range(1 << 12)]
+    return star, star_bits, picks, rows, high_edges, head, tail
+
+
+def enumerate_records(
+    n: int, mask_range: tuple[int, int] | None = None
+) -> Iterator[tuple[str, Graph]]:
+    """(graph6 record, graph) for every labeled connected simple graph on n
+    vertices, in :func:`enumerate_connected`'s order.
+
+    A mask's low n-1 bits are the neighbourhood S of vertex 0 (bit v-1 is
+    edge (0, v)) and its high bits the graph H on vertices 1..n-1, so each
+    H is scanned once for its components, and the graph is connected when
+    S meets every one.  The neighbour tuples and the record are looked up
+    in :func:`_record_tables` rather than built bit by bit.
+    """
+    check_enumeration_n(n)
+    total = enumeration_space(n)
+    start, stop = mask_range if mask_range is not None else (0, total)
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"mask_range {mask_range} outside [0, {total}]")
+    star, star_bits, picks, rows, high_edges, head, tail = _record_tables(n)
+    low = n - 1
+    half = 1 << low
+    for h in range(start >> low, (stop + half - 1) >> low):
+        # H's neighbour sets and graph6 bits
+        adj = [0] * n
+        bits = 0
+        m = h
+        while m:
+            lsb = m & -m
+            i, j, bit = high_edges[lsb.bit_length() - 1]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            bits |= bit
+            m ^= lsb
+        # H's components by bit-parallel BFS, each as a set of S's bits
+        components = []
+        rest = (1 << n) - 2
+        while rest:
+            seen = frontier = rest & -rest
+            while frontier:
+                nxt = 0
+                f = frontier
+                while f:
+                    nxt |= adj[(f & -f).bit_length() - 1]
+                    f &= f - 1
+                frontier = nxt & ~seen
+                seen |= frontier
+            components.append(seen >> 1)
+            rest &= ~seen
+        options = star + tuple([rows[a | b] for a in adj[1:] for b in (0, 1)])
+        base = h << low
+        neighbourhoods = range(max(start - base, 0), min(stop - base, half))
+        if len(components) > 1:
+            neighbourhoods = [s for s in neighbourhoods if all(s & c for c in components)]
+        elif components:  # H is connected: any nonempty S
+            neighbourhoods = range(max(neighbourhoods.start, 1), neighbourhoods.stop)
+        for s in neighbourhoods:
+            record = bits | star_bits[s]
+            yield head[record >> 12] + tail[record & 4095], Graph(n, picks[s](options))
+
+
 def enumerate_connected(
     n: int, *, mask_range: tuple[int, int] | None = None
 ) -> Iterator[Graph]:
@@ -402,41 +506,12 @@ def enumerate_connected(
     Candidates are the 2^(n(n-1)/2) edge subsets; bit k of the mask is edge
     k in lexicographic (i, j) order, and masks are scanned in increasing
     order, so the stream is deterministic.  ``mask_range`` restricts the
-    scan to [start, stop) so callers can partition the work.
+    scan to [start, stop) so callers can partition the work.  The graphs
+    are :func:`enumerate_records`'s: each mask splits into vertex 0's
+    neighbourhood (its low n-1 bits) and the graph on vertices 1..n-1 (its
+    high bits), which leaves the order unchanged.
     """
-    check_enumeration_n(n)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = 1 << len(pairs)
-    start, stop = mask_range if mask_range is not None else (0, total)
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"mask_range {mask_range} outside [0, {total}]")
-    full = (1 << n) - 1
-    rng = range(n)
-    for mask in range(start, stop):
-        adj = [0] * n
-        m = mask
-        while m:
-            lsb = m & -m
-            i, j = pairs[lsb.bit_length() - 1]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            m &= m - 1
-        # bit-parallel BFS from vertex 0
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                nxt |= adj[(f & -f).bit_length() - 1]
-                f &= f - 1
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen != full:
-            continue
-        yield Graph(
-            n, tuple(tuple(j for j in rng if a >> j & 1) for a in adj)
-        )
+    return (g for _, g in enumerate_records(n, mask_range))
 
 
 def enumeration_space(n: int) -> int:

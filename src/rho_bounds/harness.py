@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ from .graph_core import (
     check_graph6,
     decode_graph6,
     encode_graph6,
-    enumerate_connected,
+    enumerate_records,
     enumeration_space,
     graph6_records,
     is_connected,
@@ -327,7 +326,7 @@ def _class_key(g: Graph) -> tuple:
 
 def _class_record(g: Graph, checks: tuple[str, ...], seq, report, sequence_results) -> tuple:
     """What ``g``'s isomorphism class fixes, given its sequence's entry:
-    (Lanczos's SpectralResult, [(check, details)] for the checks with
+    (its report row without the id, [(check, details)] for the checks with
     details, in canonical order, names of the checks tight here)."""
     spec = spectral_radius_power(g)
     found = []
@@ -338,12 +337,12 @@ def _class_record(g: Graph, checks: tuple[str, ...], seq, report, sequence_resul
             found.append((name, details))
         if is_tight:
             tight.append(name)
-    return spec, found, tight
+    return report_row("", seq, report, spec.rho)[1:], found, tight
 
 
-def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict, ident: str | None = None):
+def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict, ident: str):
     """Run the enabled checks (canonical order) on one connected graph,
-    whose id is ``ident``, or its graph6 encoding where that is None.
+    whose id is ``ident``.
 
     ``memo`` maps sorted degree tuples to ``_sequence_entry`` results for
     one chunk, whose checks are fixed.  A sequence's first sighting stores
@@ -353,8 +352,8 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict, ident: str | N
     ``_class_record``: Lanczos's result is the same bit for bit on every
     labeling (see ``spectral_oracle``), and so is every check's outcome.
     So per graph there remain the degree sort and memo lookup, the class
-    key, the id and the row.  Returns (row, violations, names of checks
-    tight here).
+    key, and the row: the id before the record's row.  Returns (row,
+    violations, names of checks tight here).
     """
     degrees = tuple(sorted(map(len, g.neighbors), reverse=True))
     entry = memo.get(degrees)
@@ -371,11 +370,9 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict, ident: str | N
         record = _class_record(g, checks, seq, report, sequence_results)
         if seen:
             classes[key] = record
-    spec, found, tight = record
-    if ident is None:
-        ident = encode_graph6(g)
+    tail, found, tight = record
     violations = [(ident, name, detail) for name, details in found for detail in details]
-    return report_row(ident, seq, report, spec.rho), violations, tight
+    return (ident,) + tail, violations, tight
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +409,17 @@ def _chunks(cfg: CampaignConfig) -> list[tuple]:
 
 def _chunk_graphs(kind: str, payload):
     """Yield (id, graph) for the graphs of a chunk in source order; the id
-    is a graph6 source's record, and None for the other sources."""
+    is the graph's graph6 record, as the source has it or as
+    :func:`encode_graph6` writes it."""
     if kind == "enumerate":
         n, start, stop = payload
-        for g in enumerate_connected(n, mask_range=(start, stop)):
-            yield None, g
+        yield from enumerate_records(n, (start, stop))
     elif kind == "graph6":
         for record in payload:
             yield record, decode_graph6(record)  # checked by _chunks
     else:
-        yield None, parse_edge_list(payload)
+        g = parse_edge_list(payload)
+        yield encode_graph6(g), g
 
 
 def _run_chunk(checks: tuple[str, ...], chunk: tuple) -> tuple:
@@ -460,6 +458,8 @@ def run_campaign(cfg: CampaignConfig, row_sink=None) -> CampaignResult:
     with contextlib.ExitStack() as stack:
         outcomes = map(run, chunks)
         if cfg.jobs > 1 and len(chunks) > 1:
+            import multiprocessing  # here, where a pool opens: it slows start-up
+
             pool = multiprocessing.Pool(min(cfg.jobs, len(chunks)))
             outcomes = stack.enter_context(pool).imap(run, chunks)
         for rows, violations, skipped, tights in outcomes:

@@ -6,9 +6,9 @@ arithmetic, giving the tests a tie-detection oracle that owes nothing to the
 library's prefix-sum comparison logic.  The structural
 oracles (adjacency invariants, union-find connectivity, the numeric tight
 set, the per-level replay loops, the dense Faddeev-LeVerrier loop, the
-memo-free campaign chunk, the per-bit graph6 loops, the quadratic
-Erdos-Gallai loop, the counting Brualdi-Hoffman loop) exist only to check
-the library against.
+memo-free campaign chunk, the bit-loop enumerator, the per-bit graph6
+loops, the quadratic Erdos-Gallai loop, the counting Brualdi-Hoffman
+loop) exist only to check the library against.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from rho_bounds import (
 from rho_bounds import harness
 from rho_bounds.bounds import compare_half_surds, phi_surd
 from rho_bounds.equality import tight_levels
-from rho_bounds.graph_core import _G6_MAX_N
+from rho_bounds.graph_core import _G6_MAX_N, check_enumeration_n, decode_graph6, parse_edge_list
 from rho_bounds.spectral_oracle import CHARPOLY_MAX_N, UnsupportedSizeError
 
 
@@ -218,6 +218,56 @@ def examine_graph_reference(g: Graph, checks: tuple[str, ...], ident: str | None
     return harness.report_row(ident, seq, report, spec.rho), violations, tight
 
 
+def enumerate_connected_reference(
+    n: int, mask_range: tuple[int, int] | None = None
+) -> list[Graph]:
+    """``enumerate_connected`` one mask at a time: its edges set bit by bit,
+    then a bit-parallel BFS from vertex 0."""
+    check_enumeration_n(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    total = 1 << len(pairs)
+    start, stop = mask_range if mask_range is not None else (0, total)
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"mask_range {mask_range} outside [0, {total}]")
+    full = (1 << n) - 1
+    graphs = []
+    for mask in range(start, stop):
+        adj = [0] * n
+        m = mask
+        while m:
+            lsb = m & -m
+            i, j = pairs[lsb.bit_length() - 1]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            m &= m - 1
+        seen = 1
+        frontier = 1
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                nxt |= adj[(f & -f).bit_length() - 1]
+                f &= f - 1
+            frontier = nxt & ~seen
+            seen |= frontier
+        if seen == full:
+            graphs.append(Graph(n, tuple(tuple(j for j in range(n) if a >> j & 1) for a in adj)))
+    return graphs
+
+
+def chunk_graphs_reference(kind: str, payload) -> list[tuple[str, Graph]]:
+    """``harness._chunk_graphs`` with every id written by ``encode_graph6``
+    and enumeration by ``enumerate_connected_reference``."""
+    if kind == "graph6":
+        return [(record, decode_graph6(record)) for record in payload]
+    if kind == "enumerate":
+        n, start, stop = payload
+        graphs = enumerate_connected_reference(n, (start, stop))
+    else:
+        graphs = [parse_edge_list(payload)]
+    return [(encode_graph6(g), g) for g in graphs]
+
+
 def run_chunk_reference(checks: tuple[str, ...], chunk: tuple) -> tuple:
     """``harness._run_chunk`` with ``examine_graph_reference`` per graph."""
     rows = []
@@ -225,7 +275,7 @@ def run_chunk_reference(checks: tuple[str, ...], chunk: tuple) -> tuple:
     tight_counts = dict.fromkeys(checks, 0)
     skipped = 0
     kind, payload = chunk
-    for ident, g in harness._chunk_graphs(kind, payload):
+    for ident, g in chunk_graphs_reference(kind, payload):
         if kind != "enumerate" and not is_connected(g):
             skipped += 1
             continue

@@ -515,6 +515,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
 
+    def test_start_up_imports_no_multiprocessing(self):
+        # a campaign imports it only where it opens a pool
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rho_bounds.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stdout == "False\n"
+
 
 class _Stdin:
     """Stands in for sys.stdin: ``data`` (text is ASCII-encoded) on its buffer."""

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import (
     check_invariants,
     encode_graph6_bitloop,
+    enumerate_connected_reference,
     is_connected_union_find,
     parse_graph6_bitloop,
     random_graph,
@@ -474,6 +475,66 @@ class TestEnumerateConnected:
             next(enumerate_connected(0))
         with pytest.raises(ValueError, match="got 9"):
             next(enumerate_connected(9))
+
+
+class TestEnumerateRecords:
+    """``enumerate_records`` against the bit-loop reference, graph for
+    graph, and each record against ``encode_graph6``."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_whole_space_matches_reference(self, n):
+        stream = list(graph_core.enumerate_records(n))
+        reference = enumerate_connected_reference(n)
+        assert [g for _, g in stream] == reference
+        assert list(enumerate_connected(n)) == reference
+        assert [record for record, _ in stream] == [encode_graph6(g) for g in reference]
+
+    @pytest.mark.parametrize("n, mask_range", [
+        (5, (37, 1000)),      # both ends inside a block of 2^(n-1) masks
+        (5, (16, 1008)),      # both ends on block boundaries
+        (6, (100, 30000)),
+        (7, (1000, 5000)),
+        (5, (37, 38)),        # one mask, whose graph is connected
+        (5, (0, 1)),          # one mask, the empty graph
+        (7, (2097151, 2097152)),  # the last mask, K7
+        (5, (37, 37)),        # empty ranges
+        (5, (0, 0)),
+        (7, (2097152, 2097152)),
+        (1, (0, 1)),
+        (1, (0, 0)),
+        (1, (1, 1)),
+        (2, (0, 1)),
+        (2, (1, 2)),
+        (2, (0, 2)),
+    ])
+    def test_mask_ranges_match_reference(self, n, mask_range):
+        stream = list(graph_core.enumerate_records(n, mask_range))
+        reference = enumerate_connected_reference(n, mask_range)
+        assert [g for _, g in stream] == reference
+        assert [record for record, _ in stream] == [encode_graph6(g) for g in reference]
+
+    def test_records_of_seeded_n7_masks(self):
+        rng = random.Random(7)
+        masks = [rng.randrange(graph_core.enumeration_space(7)) for _ in range(20000)]
+        stream = [item for mask in masks
+                  for item in graph_core.enumerate_records(7, (mask, mask + 1))]
+        reference = [g for mask in masks
+                     for g in enumerate_connected_reference(7, (mask, mask + 1))]
+        assert len(stream) > 17000
+        assert [g for _, g in stream] == reference
+        assert [record for record, _ in stream] == [encode_graph6(g) for g in reference]
+
+    def test_same_errors_as_enumerate_connected(self):
+        with pytest.raises(ValueError, match=r"1 <= n <= 7, got 8$"):
+            next(graph_core.enumerate_records(8))
+        with pytest.raises(ValueError, match=r"1 <= n <= 7, got 0$"):
+            next(graph_core.enumerate_records(0))
+        with pytest.raises(ValueError, match=r"mask_range \(0, 9\) outside \[0, 8\]"):
+            next(graph_core.enumerate_records(3, (0, 9)))
+        with pytest.raises(ValueError, match=r"mask_range \(5, 4\) outside \[0, 8\]"):
+            next(graph_core.enumerate_records(3, (5, 4)))
+        with pytest.raises(ValueError, match=r"mask_range \(5, 4\) outside \[0, 8\]"):
+            next(enumerate_connected(3, mask_range=(5, 4)))
 
 
 # ---------------------------------------------------------------------------

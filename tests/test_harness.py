@@ -599,7 +599,8 @@ class TestSequenceMemo:
         path, star = (2, 2, 1, 1), (3, 1, 1, 1)
         memo = {}
         for state in ("cold", "warm"):
-            got = [harness._examine_graph(g, CHECKS, memo) for g in graphs]
+            got = [harness._examine_graph(g, CHECKS, memo, ident)
+                   for g, ident in zip(graphs, ids)]
             assert got == expected
             assert memo.keys() == {path, star}
             assert memo[path] is not harness._SEEN
@@ -741,7 +742,7 @@ class TestPoolSize:
         path = tmp_path / "three.g6"
         path.write_text("C~\nCh\nBw\n")
         monkeypatch.setattr(harness, "_FILE_CHUNK", 1)
-        monkeypatch.setattr(harness.multiprocessing, "Pool", _InlinePool)
+        monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
         monkeypatch.setattr(_InlinePool, "sizes", [])
         cfg = dict(source="graph6", path=str(path))
         assert len(harness._chunks(CampaignConfig(**cfg))) == chunks
@@ -754,7 +755,7 @@ class TestPoolSize:
         assert result.tight_instances == serial.tight_instances
 
     def test_single_chunk_starts_no_pool(self, monkeypatch):
-        monkeypatch.setattr(harness.multiprocessing, "Pool", _InlinePool)
+        monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
         monkeypatch.setattr(_InlinePool, "sizes", [])
         run_campaign(CampaignConfig(source="enumerate", n=4, jobs=8))
         assert _InlinePool.sizes == []
