@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import sys
 
@@ -104,20 +106,45 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 # Each report opens at its first row or in finish(): an earlier error leaves stdout empty.
+# A row's tail (the row without its id) is fixed by the graph's isomorphism
+# class, so a labeled sweep has no more distinct tails than classes (853
+# connected ones at n = 7): each writer formats a tail once and writes a
+# row as its id and the tail's cached text.  The cache keys by equality, so
+# each column holds one type (or None) and no float is -0.0 (tests pin it).
+_TEXT_CACHE = 4096
+
+
+@functools.lru_cache(maxsize=_TEXT_CACHE)
+def _csv_text(tail: tuple) -> str:
+    """The CSV fields of ``tail`` and the line's end, as ``csv.writer``
+    writes them after a row's id (None as an empty field, a float as its
+    repr)."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(tail)
+    return out.getvalue()
+
+
+@functools.lru_cache(maxsize=_TEXT_CACHE)
+def _json_text(tail: tuple) -> str:
+    """The JSON members of ``tail`` and the closing brace, as they follow a
+    row's id."""
+    return json.dumps(dict(zip(CSV_COLUMNS[1:], tail)))[1:]
+
 
 class _CsvReport:
     def __init__(self, stream):
-        self._writer = csv.writer(stream, lineterminator="\n")
+        self._stream = stream
         self._started = False
 
     def add_row(self, row) -> None:
         self.finish(None)  # the header, before the first row only
-        self._writer.writerow(row)  # None as an empty field, a float as its repr
+        # a graph6 record never needs quoting: no comma, quote or line end
+        self._stream.write(f"{row[0]},{_csv_text(row[1:])}")
 
     def finish(self, result) -> None:
         if not self._started:
             self._started = True
-            self._writer.writerow(CSV_COLUMNS)
+            self._stream.write(",".join(CSV_COLUMNS) + "\n")
 
 
 class _JsonReport:
@@ -128,7 +155,8 @@ class _JsonReport:
     def add_row(self, row) -> None:
         self._stream.write(", " if self._started else '{"rows": [')
         self._started = True
-        self._stream.write(json.dumps(dict(zip(CSV_COLUMNS, row))))
+        # json.dumps escapes the backslash that a graph6 record may hold
+        self._stream.write(f'{{"id": {json.dumps(row[0])}, {_json_text(row[1:])}')
 
     def finish(self, result) -> None:
         summary = {

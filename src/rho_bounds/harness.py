@@ -310,18 +310,25 @@ def _sequence_entry(degrees: tuple[int, ...], checks: tuple[str, ...]) -> tuple:
 
 
 def _class_key(g: Graph) -> tuple:
-    """An isomorphic copy of ``g``: its vertices ordered by (degree, sorted
-    neighbour degrees), ties by label, and the copy's sorted neighbour
-    tuples in that order.  Equal keys are relabelings of one graph, so
-    their graphs are isomorphic; isomorphic graphs may still differ."""
+    """An isomorphic copy of ``g``: its vertices ordered by degree, then by
+    the sum of their neighbours' squared degrees, ties by label, and the
+    copy's neighbour sets (frozensets of positions) in that order.  Both
+    invariants are packed into one integer, since the sum is below n^3, so
+    no neighbour list is sorted; the key takes O(n + m) memory.  Equal
+    keys are relabelings of one graph, so their graphs are isomorphic;
+    isomorphic graphs may still differ."""
     neighbors = g.neighbors
-    degree = list(map(len, neighbors)).__getitem__
-    signature = [(len(nb), sorted(map(degree, nb))) for nb in neighbors]
-    order = sorted(range(g.n), key=signature.__getitem__)
-    position = [0] * g.n
+    n = g.n
+    degree = list(map(len, neighbors))
+    weight = [d * d for d in degree].__getitem__
+    scale = n * n * n
+    rank = [d * scale + sum(map(weight, nb)) for d, nb in zip(degree, neighbors)]
+    order = sorted(range(n), key=rank.__getitem__)
+    position = [0] * n
     for i, v in enumerate(order):
         position[v] = i
-    return tuple([tuple(sorted(map(position.__getitem__, neighbors[v]))) for v in order])
+    place = position.__getitem__
+    return tuple([frozenset(map(place, neighbors[v])) for v in order])
 
 
 def _class_record(g: Graph, checks: tuple[str, ...], seq, report, sequence_results) -> tuple:

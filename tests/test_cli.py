@@ -19,6 +19,7 @@ from rho_bounds import (
 )
 from rho_bounds import cli, harness
 from rho_bounds.cli import run
+from rho_bounds.graph_core import enumerate_records
 
 
 class TestBound:
@@ -385,6 +386,105 @@ def test_graph6_file_first_record(argv, text, tmp_path, capsys):
     assert run([*argv, "--input", str(path), "--output", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc.get("rows", [doc])[0]["id"] == "C~"  # verify nests its rows
+
+
+
+def _uncached_reports(rows) -> tuple[str, str]:
+    """The CSV report and the JSON rows as ``csv.writer`` and ``json.dumps``
+    write them, row by row, with no cache."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rows)
+    return out.getvalue(), ", ".join(json.dumps(dict(zip(CSV_COLUMNS, row))) for row in rows)
+
+
+def _cached_reports(rows) -> tuple[str, str]:
+    """The same two texts through ``_CsvReport`` and ``_JsonReport``."""
+    csv_out, json_out = io.StringIO(), io.StringIO()
+    reports = cli._CsvReport(csv_out), cli._JsonReport(json_out)
+    for row in rows:
+        for report in reports:
+            report.add_row(row)
+    for report in reports:
+        report.finish(harness.CampaignResult())
+    text = json_out.getvalue()
+    assert text.startswith('{"rows": [') and json.loads(text)["rows"] == [
+        dict(zip(CSV_COLUMNS, row)) for row in rows]
+    return csv_out.getvalue(), text[len('{"rows": ['):text.rindex('], "graphs_checked"')]
+
+
+def _bound_rows(tmp_path, monkeypatch) -> list[tuple]:
+    """The rows that ``bound --output csv`` writes for a graph6 record, an
+    edge list and two degree sequences (no rho and no slack_min)."""
+    rows = []
+    monkeypatch.setattr(cli._CsvReport, "add_row", lambda self, row: rows.append(row))
+    inputs = (("graph6", "C~\n"), ("graph6", "E?bw\n"), ("edgelist", "4\n0 1\n1 2\n2 3\n"),
+              ("sequence", "3 2 2 1\n"), ("sequence", "2 2 2\n"))
+    for number, (fmt, text) in enumerate(inputs):
+        path = tmp_path / f"bound{number}.txt"
+        path.write_text(text)
+        assert run(["bound", "--input", str(path), "--format", fmt, "--output", "csv"]) == 0
+    monkeypatch.undo()
+    assert len(rows) == len(inputs)
+    return rows
+
+
+class TestReportText:
+    """Each report writer formats a row's tail once and caches the text; its
+    report is what uncached ``csv.writer`` and ``json.dumps`` write."""
+
+    @staticmethod
+    def _verify_rows(n):
+        rows = []
+        harness.run_campaign(harness.CampaignConfig(source="enumerate", n=n),
+                             row_sink=rows.append)
+        return rows
+
+    def test_cache_matches_uncached(self, tmp_path, monkeypatch):
+        rows = self._verify_rows(5)
+        bound = _bound_rows(tmp_path, monkeypatch)
+        # a real record with a backslash, which JSON escapes and CSV keeps
+        record, g = next((r, g) for r, g in enumerate_records(6) if "\\" in r)
+        slash = harness._examine_graph(g, harness.CHECKS, {}, record)[0]
+        # empty fields: pivot and cert_t (n = 5), rho and slack_min (sequences)
+        assert any(row[5] is None for row in rows) and any(row[13] is None for row in rows)
+        assert all(row[3] is None and row[14] is None for row in bound[-2:])
+        cli._csv_text.cache_clear()
+        cli._json_text.cache_clear()
+        mixed = rows + bound + [slash] + rows[:50] + bound
+        assert _cached_reports(mixed) == _uncached_reports(mixed)
+        assert f"\n{record}," in _cached_reports([slash])[0]
+        assert cli._csv_text.cache_info().hits > 0
+
+    def test_more_tails_than_the_cache_holds(self):
+        base = self._verify_rows(4)[0]
+        tails = cli._TEXT_CACHE + 100
+        rows = [(f"id{i}", *base[1:3], 1.0 + i / 7, *base[4:]) for i in range(tails)]
+        # every tail twice, the second time after it has been evicted
+        rows += rows[::-1] + rows[:10]
+        cli._csv_text.cache_clear()
+        cli._json_text.cache_clear()
+        assert _cached_reports(rows) == _uncached_reports(rows)
+        for text in (cli._csv_text, cli._json_text):
+            info = text.cache_info()
+            assert info.maxsize == info.currsize == cli._TEXT_CACHE
+            assert info.misses > tails
+
+    def test_every_column_has_one_type(self, tmp_path, monkeypatch):
+        # the cache keys by equality, and 0.0 == -0.0 and 1 == 1.0 hash
+        # alike: a column with two types, or a float -0.0, could print
+        # another row's text
+        types = (str, int, int, float, float, int, float, float, float, float, float,
+                 float, str, int, float)
+        rows = self._verify_rows(5) + _bound_rows(tmp_path, monkeypatch)
+        assert len(types) == len(CSV_COLUMNS)
+        for column, (name, kind) in enumerate(zip(CSV_COLUMNS, types)):
+            found = {type(row[column]) for row in rows} - {type(None)}
+            assert found == {kind}, name
+        for row in rows:
+            assert not any(type(x) is float and x == 0 and math.copysign(1.0, x) < 0
+                           for x in row), row
 
 
 class TestEnumerate:

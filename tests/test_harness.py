@@ -639,15 +639,44 @@ class TestClassMemo:
         assert len(got[0]) == 54 and not got[1]
 
     def test_key_is_a_relabeling(self):
-        # equal keys therefore mean isomorphic graphs
+        # equal keys therefore mean isomorphic graphs: the key is the
+        # neighbour sets of some relabeling, in the relabeled order
         for n in range(1, 6):
             for g in enumerate_connected(n):
                 key = harness._class_key(g)
                 assert any(
-                    tuple(tuple(sorted(perm[u] for u in g.neighbors[v]))
+                    tuple(frozenset(perm[u] for u in g.neighbors[v])
                           for v in sorted(range(n), key=perm.__getitem__)) == key
                     for perm in itertools.permutations(range(n))
                 )
+
+    def test_key_holds_positions_only(self):
+        # O(n + m): one frozenset of positions per vertex, 2m entries in all
+        g = gen_named("path", 8000)
+        key = harness._class_key(g)
+        assert all(type(row) is frozenset for row in key)
+        assert sum(map(len, key)) == 2 * g.m
+        assert set().union(*key) == set(range(g.n))
+        # degree first, then the sum of the neighbours' squared degrees
+        # (the ends' neighbours 4, inner vertices 5 or 8), ties by label
+        assert key[:3] == (frozenset({2}), frozenset({3}), frozenset({0, 4}))
+
+    def test_lanczos_once_per_record_at_n6(self, monkeypatch):
+        # one chunk holds every mask of n = 6: Lanczos runs once for each
+        # sequence's first graph and once per (sequence, key) after it,
+        # 68 + 381 = 449 times among the 26,704 graphs
+        calls = []
+        monkeypatch.setattr(harness, "spectral_radius_power",
+                            lambda g: calls.append(g) or spectral_radius_power(g))
+        chunk = ("enumerate", (6, 0, enumeration_space(6)))
+        assert harness._chunks(CampaignConfig(source="enumerate", n=6)) == [chunk]
+        rows = harness._run_chunk(CHECKS, chunk)[0]
+        first, keys = {}, set()
+        for g in enumerate_connected(6):
+            degrees = degree_sequence(g).degrees
+            if first.setdefault(degrees, g) is not g:
+                keys.add((degrees, harness._class_key(g)))
+        assert (len(rows), len(first), len(keys), len(calls)) == (26704, 68, 381, 449)
 
     def test_charpoly_once_per_class_key(self, monkeypatch):
         # at most one charpoly, Lanczos run and graph check for each
