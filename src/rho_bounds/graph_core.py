@@ -404,7 +404,7 @@ def _g6_bit(i: int, j: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _record_tables(n: int) -> tuple:
-    """What :func:`enumerate_records` looks up at n, built once:
+    """What :func:`enumerate_blocks` looks up at n, built once:
 
     - ``star``, ``star_bits``: for each neighbourhood S of vertex 0, vertex
       0's neighbour tuple and S's graph6 bits;
@@ -439,17 +439,24 @@ def _record_tables(n: int) -> tuple:
     return star, star_bits, picks, rows, high_edges, head, tail
 
 
-def enumerate_records(
+def enumerate_blocks(
     n: int, mask_range: tuple[int, int] | None = None
-) -> Iterator[tuple[str, Graph]]:
-    """(graph6 record, graph) for every labeled connected simple graph on n
-    vertices, in :func:`enumerate_connected`'s order.
+) -> Iterator[tuple[Graph, list[tuple[str, Graph]]]]:
+    """(H, members) for each block of masks that share their high bits, in
+    mask order, where a block has members in ``mask_range``.
 
     A mask's low n-1 bits are the neighbourhood S of vertex 0 (bit v-1 is
-    edge (0, v)) and its high bits the graph H on vertices 1..n-1, so each
-    H is scanned once for its components, and the graph is connected when
-    S meets every one.  The neighbour tuples and the record are looked up
-    in :func:`_record_tables` rather than built bit by bit.
+    edge (0, v)) and its high bits the graph H on vertices 1..n-1.  ``H``
+    is that graph on all n vertices, so vertex 0 is isolated in it; every
+    member is H plus vertex 0 joined to its S.  ``members`` lists
+    (graph6 record, graph) for the block's labeled connected graphs, in
+    mask order.  Vertex 0 has degree 0 in H and the least label, so a
+    relabeling of H that orders its vertices by degree, ties by label, puts
+    vertex 0 at position 0, and H's form with S's positions in it fixes a
+    member's isomorphism class.  Each H is scanned once for its
+    components, and a graph is connected when S meets every one.  The
+    neighbour tuples and the record are looked up in :func:`_record_tables`
+    rather than built bit by bit.
     """
     check_enumeration_n(n)
     total = enumeration_space(n)
@@ -493,9 +500,24 @@ def enumerate_records(
             neighbourhoods = [s for s in neighbourhoods if all(s & c for c in components)]
         elif components:  # H is connected: any nonempty S
             neighbourhoods = range(max(neighbourhoods.start, 1), neighbourhoods.stop)
+        members = []
         for s in neighbourhoods:
             record = bits | star_bits[s]
-            yield head[record >> 12] + tail[record & 4095], Graph(n, picks[s](options))
+            members.append((head[record >> 12] + tail[record & 4095], Graph(n, picks[s](options))))
+        if members:
+            # star[0] is vertex 0's empty tuple, options[half::2] each other
+            # vertex's tuple without vertex 0
+            yield Graph(n, options[:1] + options[half::2]), members
+
+
+def enumerate_records(
+    n: int, mask_range: tuple[int, int] | None = None
+) -> Iterator[tuple[str, Graph]]:
+    """(graph6 record, graph) for every labeled connected simple graph on n
+    vertices, in :func:`enumerate_connected`'s order: the members of
+    :func:`enumerate_blocks`, block after block."""
+    for _, members in enumerate_blocks(n, mask_range):
+        yield from members
 
 
 def enumerate_connected(
@@ -507,7 +529,7 @@ def enumerate_connected(
     k in lexicographic (i, j) order, and masks are scanned in increasing
     order, so the stream is deterministic.  ``mask_range`` restricts the
     scan to [start, stop) so callers can partition the work.  The graphs
-    are :func:`enumerate_records`'s: each mask splits into vertex 0's
+    are :func:`enumerate_blocks`'s: each mask splits into vertex 0's
     neighbourhood (its low n-1 bits) and the graph on vertices 1..n-1 (its
     high bits), which leaves the order unchanged.
     """

@@ -26,7 +26,7 @@ from .graph_core import (
     check_graph6,
     decode_graph6,
     encode_graph6,
-    enumerate_records,
+    enumerate_blocks,
     enumeration_space,
     graph6_records,
     is_connected,
@@ -309,17 +309,19 @@ def _sequence_entry(degrees: tuple[int, ...], checks: tuple[str, ...]) -> tuple:
     return seq, report, results, {}
 
 
-def _class_key(g: Graph) -> tuple:
-    """An isomorphic copy of ``g``: its vertices ordered by degree, then by
-    the sum of their neighbours' squared degrees, ties by label, and the
-    copy's neighbour sets (frozensets of positions) in that order.  Both
-    invariants are packed into one integer, since the sum is below n^3, so
-    no neighbour list is sorted; the key takes O(n + m) memory.  Equal
-    keys are relabelings of one graph, so their graphs are isomorphic;
-    isomorphic graphs may still differ."""
+def _relabel(g: Graph, degree: list[int]) -> tuple[tuple, list[int]]:
+    """An isomorphic copy of ``g``, given its degree list, and each vertex's
+    position in it: the vertices ordered by degree, then by the sum of their
+    neighbours' squared degrees, ties by label, and the copy's neighbour
+    sets (frozensets of positions) in that order.  Both invariants are
+    packed into one integer, since the sum is below n^3, so no neighbour
+    list is sorted; the copy takes O(n + m) memory.  The copy is a graph's
+    class key: equal copies are relabelings of one graph, so their graphs
+    are isomorphic; isomorphic graphs may still differ.  An isolated vertex
+    has the least integer, 0, so the isolated vertex with the least label
+    takes position 0: vertex 0 of an enumerated block's H always does."""
     neighbors = g.neighbors
     n = g.n
-    degree = list(map(len, neighbors))
     weight = [d * d for d in degree].__getitem__
     scale = n * n * n
     rank = [d * scale + sum(map(weight, nb)) for d, nb in zip(degree, neighbors)]
@@ -328,7 +330,7 @@ def _class_key(g: Graph) -> tuple:
     for i, v in enumerate(order):
         position[v] = i
     place = position.__getitem__
-    return tuple([frozenset(map(place, neighbors[v])) for v in order])
+    return tuple([frozenset(map(place, neighbors[v])) for v in order]), position
 
 
 def _class_record(g: Graph, checks: tuple[str, ...], seq, report, sequence_results) -> tuple:
@@ -347,22 +349,22 @@ def _class_record(g: Graph, checks: tuple[str, ...], seq, report, sequence_resul
     return report_row("", seq, report, spec.rho)[1:], found, tight
 
 
-def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict, ident: str):
-    """Run the enabled checks (canonical order) on one connected graph,
-    whose id is ``ident``.
+def _class_of(g: Graph, checks: tuple[str, ...], memo: dict) -> tuple:
+    """The class record (see :func:`_class_record`) of one connected graph.
 
     ``memo`` maps sorted degree tuples to ``_sequence_entry`` results for
     one chunk, whose checks are fixed.  A sequence's first sighting stores
     only ``_SEEN``, and its second the entry, so a corpus of distinct
     sequences holds no reports.  From a sequence's second sighting on, each
-    graph's ``_class_key`` also indexes the entry's classes, which keep a
-    ``_class_record``: Lanczos's result is the same bit for bit on every
-    labeling (see ``spectral_oracle``), and so is every check's outcome.
-    So per graph there remain the degree sort and memo lookup, the class
-    key, and the row: the id before the record's row.  Returns (row,
-    violations, names of checks tight here).
+    graph's class key (:func:`_relabel`) also indexes the entry's classes,
+    which keep a ``_class_record``: Lanczos's result is the same bit for bit
+    on every labeling (see ``spectral_oracle``), and so is every check's
+    outcome.
+    So per graph there remain the degree list, its sort and memo lookup,
+    and the class key.
     """
-    degrees = tuple(sorted(map(len, g.neighbors), reverse=True))
+    degree = list(map(len, g.neighbors))
+    degrees = tuple(sorted(degree, reverse=True))
     entry = memo.get(degrees)
     seen = entry is not None
     if entry is None or entry is _SEEN:
@@ -371,15 +373,13 @@ def _examine_graph(g: Graph, checks: tuple[str, ...], memo: dict, ident: str):
         entry = fresh
     seq, report, sequence_results, classes = entry
     # a new degree tuple has no isomorph earlier in the chunk
-    key = _class_key(g) if seen else None
+    key = _relabel(g, degree)[0] if seen else None
     record = classes.get(key)
     if record is None:
         record = _class_record(g, checks, seq, report, sequence_results)
         if seen:
             classes[key] = record
-    tail, found, tight = record
-    violations = [(ident, name, detail) for name, details in found for detail in details]
-    return (ident,) + tail, violations, tight
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -414,36 +414,67 @@ def _chunks(cfg: CampaignConfig) -> list[tuple]:
     ]
 
 
-def _chunk_graphs(kind: str, payload):
-    """Yield (id, graph) for the graphs of a chunk in source order; the id
-    is the graph's graph6 record, as the source has it or as
-    :func:`encode_graph6` writes it."""
+def _chunk_classes(kind: str, payload, checks: tuple[str, ...]):
+    """Yield (id, class record) for the graphs of a chunk in source order,
+    with None for a disconnected graph; the id is the graph's graph6
+    record, as the enumerator or the source has it or as
+    :func:`encode_graph6` writes it.
+
+    A file's graphs each go through :func:`_class_of`.  An enumeration
+    chunk comes in blocks (:func:`enumerate_blocks`): a graph H on vertices
+    1..n-1, with vertex 0 isolated, and its members, H plus vertex 0 joined
+    to a set S.  Vertex 0 takes position 0 in :func:`_relabel`'s copy of H,
+    so two members with equal rooted keys, H's copy and the frozenset of
+    S's positions in it, are isomorphic by a relabeling that fixes vertex
+    0, and share a class record.  The chunk keeps one record per rooted
+    key, and only a new rooted key goes through :func:`_class_of`.
+    """
+    memo: dict = {}
     if kind == "enumerate":
         n, start, stop = payload
-        yield from enumerate_records(n, (start, stop))
-    elif kind == "graph6":
-        for record in payload:
-            yield record, decode_graph6(record)  # checked by _chunks
+        rooted: dict = {}
+        for h, members in enumerate_blocks(n, (start, stop)):
+            form, position = _relabel(h, list(map(len, h.neighbors)))
+            records = rooted.setdefault(form, {})
+            place = position.__getitem__
+            for ident, g in members:
+                key = frozenset(map(place, g.neighbors[0]))
+                record = records.get(key)
+                if record is None:
+                    record = records[key] = _class_of(g, checks, memo)
+                yield ident, record
+        return
+    if kind == "graph6":
+        graphs = ((record, decode_graph6(record)) for record in payload)  # checked by _chunks
     else:
         g = parse_edge_list(payload)
-        yield encode_graph6(g), g
+        graphs = [(encode_graph6(g), g)]
+    for ident, g in graphs:
+        yield ident, _class_of(g, checks, memo) if is_connected(g) else None
 
 
 def _run_chunk(checks: tuple[str, ...], chunk: tuple) -> tuple:
-    """Examine one chunk; returns (rows, violations, skipped, tight counts)."""
+    """Examine one chunk; returns (rows, violations, skipped, tight counts).
+
+    The chunk's only state is its memos: per degree sequence and class key
+    (:func:`_class_of`) and, for an enumeration chunk, per rooted key
+    (:func:`_chunk_classes`), which relies on vertex 0 taking position 0
+    in the copy of each block's H.  A graph's row is its id before its
+    class record's row.
+    """
     rows: list = []
     violations: list[tuple[str, str, str]] = []
     tight_counts = dict.fromkeys(checks, 0)
     skipped = 0
-    memo: dict = {}
     kind, payload = chunk
-    for ident, g in _chunk_graphs(kind, payload):
-        if kind != "enumerate" and not is_connected(g):
+    for ident, record in _chunk_classes(kind, payload, checks):
+        if record is None:
             skipped += 1
             continue
-        row, viols, tight = _examine_graph(g, checks, memo, ident)
-        rows.append(row)
-        violations.extend(viols)
+        tail, found, tight = record
+        rows.append((ident,) + tail)
+        if found:
+            violations.extend((ident, name, detail) for name, details in found for detail in details)
         for name in tight:
             tight_counts[name] += 1
     return rows, violations, skipped, tight_counts

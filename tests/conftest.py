@@ -198,8 +198,9 @@ def brualdi_hoffman_reference(m: int) -> float:
 
 
 def examine_graph_reference(g: Graph, checks: tuple[str, ...], ident: str | None = None):
-    """``harness._examine_graph`` without the per-sequence memo: the degree
-    sequence, its report and every check are computed for this graph."""
+    """One graph's (row, violations, tight check names) without any memo:
+    the degree sequence, its report and every check are computed for this
+    graph."""
     seq = degree_sequence(g)
     spec = spectral_radius_power(g)
     report = bound_report(seq)
@@ -216,6 +217,16 @@ def examine_graph_reference(g: Graph, checks: tuple[str, ...], ident: str | None
         if is_tight:
             tight.append(name)
     return harness.report_row(ident, seq, report, spec.rho), violations, tight
+
+
+def class_key(g: Graph) -> tuple:
+    """``g``'s class key: ``harness._relabel``'s copy of it."""
+    return harness._relabel(g, [len(nb) for nb in g.neighbors])[0]
+
+
+def without_vertex_0(g: Graph) -> Graph:
+    """``g`` with vertex 0's edges removed: the H of its enumeration block."""
+    return Graph(g.n, ((),) + tuple(tuple(u for u in nb if u) for nb in g.neighbors[1:]))
 
 
 def enumerate_connected_reference(
@@ -256,8 +267,8 @@ def enumerate_connected_reference(
 
 
 def chunk_graphs_reference(kind: str, payload) -> list[tuple[str, Graph]]:
-    """``harness._chunk_graphs`` with every id written by ``encode_graph6``
-    and enumeration by ``enumerate_connected_reference``."""
+    """(id, graph) for a chunk's graphs, every id written by
+    ``encode_graph6`` and enumeration by ``enumerate_connected_reference``."""
     if kind == "graph6":
         return [(record, decode_graph6(record)) for record in payload]
     if kind == "enumerate":

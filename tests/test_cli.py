@@ -446,7 +446,7 @@ class TestReportText:
         bound = _bound_rows(tmp_path, monkeypatch)
         # a real record with a backslash, which JSON escapes and CSV keeps
         record, g = next((r, g) for r, g in enumerate_records(6) if "\\" in r)
-        slash = harness._examine_graph(g, harness.CHECKS, {}, record)[0]
+        slash = (record,) + harness._class_of(g, harness.CHECKS, {})[0]
         # empty fields: pivot and cert_t (n = 5), rho and slack_min (sequences)
         assert any(row[5] is None for row in rows) and any(row[13] is None for row in rows)
         assert all(row[3] is None and row[14] is None for row in bound[-2:])

@@ -11,6 +11,7 @@ from conftest import (
     is_connected_union_find,
     parse_graph6_bitloop,
     random_graph,
+    without_vertex_0,
 )
 from rho_bounds import (
     DegreeSequence,
@@ -477,9 +478,22 @@ class TestEnumerateConnected:
             next(enumerate_connected(9))
 
 
+def _flattened_blocks(n, mask_range=None):
+    """``enumerate_blocks``'s members, block after block, once each block's
+    H is checked: every member without vertex 0's edges, and no block
+    empty."""
+    stream = []
+    for h, members in graph_core.enumerate_blocks(n, mask_range):
+        assert members and h.n == n
+        assert all(without_vertex_0(g) == h for _, g in members)
+        stream.extend(members)
+    return stream
+
+
 class TestEnumerateRecords:
-    """``enumerate_records`` against the bit-loop reference, graph for
-    graph, and each record against ``encode_graph6``."""
+    """``enumerate_records`` and ``enumerate_blocks``'s members against the
+    bit-loop reference, graph for graph, and each record against
+    ``encode_graph6``."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_whole_space_matches_reference(self, n):
@@ -488,6 +502,7 @@ class TestEnumerateRecords:
         assert [g for _, g in stream] == reference
         assert list(enumerate_connected(n)) == reference
         assert [record for record, _ in stream] == [encode_graph6(g) for g in reference]
+        assert _flattened_blocks(n) == stream
 
     @pytest.mark.parametrize("n, mask_range", [
         (5, (37, 1000)),      # both ends inside a block of 2^(n-1) masks
@@ -512,6 +527,7 @@ class TestEnumerateRecords:
         reference = enumerate_connected_reference(n, mask_range)
         assert [g for _, g in stream] == reference
         assert [record for record, _ in stream] == [encode_graph6(g) for g in reference]
+        assert _flattened_blocks(n, mask_range) == stream
 
     def test_records_of_seeded_n7_masks(self):
         rng = random.Random(7)

@@ -35,11 +35,12 @@ from rho_bounds.bounds import (
     EQUAL, GREATER, LESS, compare_half_surds, compare_step, hong_shu_fang_surd, phi,
     phi_surd,
 )
-from rho_bounds.graph_core import enumeration_space
+from rho_bounds.graph_core import enumerate_blocks, enumeration_space
 from rho_bounds.spectral_oracle import CHARPOLY_MAX_N
 
 from conftest import (
-    examine_graph_reference, lollipop, random_connected_graph, run_chunk_reference,
+    class_key, examine_graph_reference, lollipop, random_connected_graph, run_chunk_reference,
+    without_vertex_0,
 )
 
 
@@ -599,12 +600,23 @@ class TestSequenceMemo:
         path, star = (2, 2, 1, 1), (3, 1, 1, 1)
         memo = {}
         for state in ("cold", "warm"):
-            got = [harness._examine_graph(g, CHECKS, memo, ident)
-                   for g, ident in zip(graphs, ids)]
+            got = []
+            for g, ident in zip(graphs, ids):
+                tail, found, tight = harness._class_of(g, CHECKS, memo)
+                got.append(((ident,) + tail, [(ident, name, detail) for name, details in found
+                                              for detail in details], tight))
             assert got == expected
             assert memo.keys() == {path, star}
             assert memo[path] is not harness._SEEN
             assert (memo[star] is harness._SEEN) == (state == "cold")
+
+
+def _rooted_key(g):
+    """The copy of ``g``'s block's H, with the positions of vertex 0's
+    neighbours in it."""
+    h = without_vertex_0(g)
+    form, position = harness._relabel(h, [len(nb) for nb in h.neighbors])
+    return form, frozenset(position[v] for v in g.neighbors[0])
 
 
 def _relabelings(g, count, rng):
@@ -643,7 +655,7 @@ class TestClassMemo:
         # neighbour sets of some relabeling, in the relabeled order
         for n in range(1, 6):
             for g in enumerate_connected(n):
-                key = harness._class_key(g)
+                key = class_key(g)
                 assert any(
                     tuple(frozenset(perm[u] for u in g.neighbors[v])
                           for v in sorted(range(n), key=perm.__getitem__)) == key
@@ -653,7 +665,7 @@ class TestClassMemo:
     def test_key_holds_positions_only(self):
         # O(n + m): one frozenset of positions per vertex, 2m entries in all
         g = gen_named("path", 8000)
-        key = harness._class_key(g)
+        key = class_key(g)
         assert all(type(row) is frozenset for row in key)
         assert sum(map(len, key)) == 2 * g.m
         assert set().union(*key) == set(range(g.n))
@@ -661,22 +673,68 @@ class TestClassMemo:
         # (the ends' neighbours 4, inner vertices 5 or 8), ties by label
         assert key[:3] == (frozenset({2}), frozenset({3}), frozenset({0, 4}))
 
+    def test_vertex_0_at_position_0(self):
+        # every H of an enumeration block has vertex 0 isolated, and its
+        # copy puts vertex 0 first, so a rooted key's positions relabel by
+        # a permutation that fixes vertex 0
+        for n in range(1, 7):
+            for h, members in enumerate_blocks(n):
+                assert h.neighbors[0] == ()
+                assert harness._relabel(h, [len(nb) for nb in h.neighbors])[1][0] == 0
+
+    def test_equal_rooted_keys_fix_vertex_0(self):
+        # two graphs with one rooted key are isomorphic by a permutation
+        # that fixes vertex 0: 18 keys for the 38 graphs of n = 4, 180 for
+        # the 728 of n = 5
+        sizes = []
+        for n in range(1, 6):
+            groups = collections.defaultdict(list)
+            for g in enumerate_connected(n):
+                groups[_rooted_key(g)].append(g)
+            fixing = [(0,) + perm for perm in itertools.permutations(range(1, n))]
+            for first, *rest in groups.values():
+                edges = set(first.edges())
+                for g in rest:
+                    assert any({tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()} == edges
+                               for perm in fixing)
+            sizes.append(len(groups))
+        assert sizes == [1, 1, 4, 18, 180]
+
+    @pytest.mark.parametrize("n, start, stop", [
+        (4, 5, 40),             # both ends inside a block of 2^(n-1) masks
+        (5, 37, 1000),
+        (6, 100, 3000),
+        (7, 3 * 2 ** 15 + 77, 3 * 2 ** 15 + 4077),  # inside an n = 7 chunk
+    ])
+    def test_enumerate_chunks_that_cut_blocks(self, n, start, stop):
+        chunk = ("enumerate", (n, start, stop))
+        got = harness._run_chunk(CHECKS, chunk)
+        assert got == run_chunk_reference(CHECKS, chunk)
+        assert got[0]
+
     def test_lanczos_once_per_record_at_n6(self, monkeypatch):
-        # one chunk holds every mask of n = 6: Lanczos runs once for each
-        # sequence's first graph and once per (sequence, key) after it,
-        # 68 + 381 = 449 times among the 26,704 graphs
+        # one chunk holds every mask of n = 6.  A graph reaches the
+        # sequence memo only with a new rooted key, 1,462 times; there
+        # Lanczos runs once for each sequence's first graph and once per
+        # (sequence, class key) after it: 68 + 170 = 238 times among the
+        # 26,704 graphs
         calls = []
         monkeypatch.setattr(harness, "spectral_radius_power",
                             lambda g: calls.append(g) or spectral_radius_power(g))
         chunk = ("enumerate", (6, 0, enumeration_space(6)))
         assert harness._chunks(CampaignConfig(source="enumerate", n=6)) == [chunk]
         rows = harness._run_chunk(CHECKS, chunk)[0]
-        first, keys = {}, set()
+        rooted, first, keys = set(), {}, set()
         for g in enumerate_connected(6):
+            root = _rooted_key(g)
+            if root in rooted:
+                continue
+            rooted.add(root)
             degrees = degree_sequence(g).degrees
             if first.setdefault(degrees, g) is not g:
-                keys.add((degrees, harness._class_key(g)))
-        assert (len(rows), len(first), len(keys), len(calls)) == (26704, 68, 381, 449)
+                keys.add((degrees, class_key(g)))
+        assert (len(rows), len(rooted), len(first), len(keys), len(calls)) == (
+            26704, 1462, 68, 170, 238)
 
     def test_charpoly_once_per_class_key(self, monkeypatch):
         # at most one charpoly, Lanczos run and graph check for each
@@ -697,7 +755,7 @@ class TestClassMemo:
         graphs = list(enumerate_connected(5))
         harness._run_chunk(CHECKS, ("enumerate", (5, 0, enumeration_space(5))))
         sequences = {degree_sequence(g).degrees for g in graphs}
-        keys = {harness._class_key(g) for g in graphs}
+        keys = {class_key(g) for g in graphs}
         assert (len(sequences), len(keys)) == (19, 40)
         assert calls.keys() == {"characteristic_polynomial", "spectral_radius_power",
                                 *harness._GRAPH_CHECKS}

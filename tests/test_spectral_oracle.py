@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     characteristic_polynomial_dense,
+    class_key,
     lollipop,
     random_connected_graph,
     random_graph,
@@ -318,7 +319,7 @@ class TestClassInvariance:
         results = collections.defaultdict(set)
         for n in range(1, 7):
             for g in enumerate_connected(n):
-                results[harness._class_key(g)].add(_bits(spectral_radius_power(g)))
+                results[class_key(g)].add(_bits(spectral_radius_power(g)))
         assert len(results) == 438
         assert all(len(found) == 1 for found in results.values())
 
