@@ -25,7 +25,7 @@ from .graph_core import (
     GraphParseError,
     degree_sequence,
     encode_graph6,
-    enumerate_records,
+    enumerate_blocks,
     graph6_records,
     is_connected,
     parse_edge_list,
@@ -86,7 +86,9 @@ def cmd_bound(args) -> int:
     report = bound_report(seq)
     row = report_row(ident, seq, report, rho)
     if args.output == "csv":
-        _CsvReport(sys.stdout).add_row(row)
+        writer = _CsvReport(sys.stdout)
+        writer.add_row(row)
+        writer.flush()
         return 0
     # the campaign row, then the report's per-level entries
     cert = report.cert
@@ -112,6 +114,9 @@ def cmd_bound(args) -> int:
 # row as its id and the tail's cached text.  The cache keys by equality, so
 # each column holds one type (or None) and no float is -0.0 (tests pin it).
 _TEXT_CACHE = 4096
+#: Lines a writer holds before it writes them: one ``write`` per batch, so
+#: an unbuffered stdout (``python -u``) is not written once per line.
+_BATCH = 256
 
 
 @functools.lru_cache(maxsize=_TEXT_CACHE)
@@ -131,32 +136,55 @@ def _json_text(tail: tuple) -> str:
     return json.dumps(dict(zip(CSV_COLUMNS[1:], tail)))[1:]
 
 
-class _CsvReport:
+class _Lines:
+    """Text for ``stream``, held as a list of lines and written by
+    :meth:`flush` in one ``write``; :meth:`add` flushes every ``_BATCH``
+    lines, so the list stays bounded."""
+
     def __init__(self, stream):
         self._stream = stream
-        self._started = False
+        self._lines: list[str] = []
+
+    def add(self, line: str) -> None:
+        self._lines.append(line)
+        if len(self._lines) >= _BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        if self._lines:
+            self._stream.write("".join(self._lines))
+            self._lines.clear()
+
+
+class _CsvReport(_Lines):
+    """The CSV report: the header before the first row, one line per row.
+    ``finish`` writes what is held; a caller that stops at an error calls
+    ``flush`` instead, which writes the rows added so far."""
+
+    _opening = ",".join(CSV_COLUMNS) + "\n"
 
     def add_row(self, row) -> None:
-        self.finish(None)  # the header, before the first row only
         # a graph6 record never needs quoting: no comma, quote or line end
-        self._stream.write(f"{row[0]},{_csv_text(row[1:])}")
+        self.add(f"{self._opening}{row[0]},{_csv_text(row[1:])}")
+        self._opening = ""
 
     def finish(self, result) -> None:
-        if not self._started:
-            self._started = True
-            self._stream.write(",".join(CSV_COLUMNS) + "\n")
+        if self._opening:  # no row came: the header alone
+            self.add(self._opening)
+            self._opening = ""
+        self.flush()
 
 
-class _JsonReport:
-    def __init__(self, stream):
-        self._stream = stream
-        self._started = False
+class _JsonReport(_Lines):
+    """The JSON report: its rows, then the campaign's summary.  ``finish``
+    and ``flush`` write what is held, as for :class:`_CsvReport`."""
+
+    _opening = '{"rows": ['
 
     def add_row(self, row) -> None:
-        self._stream.write(", " if self._started else '{"rows": [')
-        self._started = True
         # json.dumps escapes the backslash that a graph6 record may hold
-        self._stream.write(f'{{"id": {json.dumps(row[0])}, {_json_text(row[1:])}')
+        self.add(f'{self._opening}{{"id": {json.dumps(row[0])}, {_json_text(row[1:])}')
+        self._opening = ", "
 
     def finish(self, result) -> None:
         summary = {
@@ -168,8 +196,9 @@ class _JsonReport:
             ],
             "tight_instances": result.tight_instances,
         }
-        opening = "" if self._started else '{"rows": ['
-        self._stream.write(opening + "], " + json.dumps(summary)[1:] + "\n")
+        opening = "" if self._opening == ", " else self._opening  # no row came
+        self.add(opening + "], " + json.dumps(summary)[1:] + "\n")
+        self.flush()
 
 
 def cmd_verify(args) -> int:
@@ -188,7 +217,10 @@ def cmd_verify(args) -> int:
         jobs=args.jobs,
     )
     report = _CsvReport(sys.stdout) if args.output == "csv" else _JsonReport(sys.stdout)
-    result = run_campaign(cfg, row_sink=report.add_row)
+    try:
+        result = run_campaign(cfg, row_sink=report.add_row)
+    finally:
+        report.flush()  # the rows so far, also when the campaign stops at an error
     report.finish(result)
 
     print(
@@ -213,8 +245,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    for record, _ in enumerate_records(args.n):
-        print(record)
+    out = _Lines(sys.stdout)
+    for _, members, _ in enumerate_blocks(args.n):
+        for record, _ in members:
+            out.add(record + "\n")
+    out.flush()
     return 0
 
 

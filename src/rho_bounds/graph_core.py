@@ -13,7 +13,7 @@ import re
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class GraphParseError(ValueError):
@@ -430,33 +430,33 @@ def _record_tables(n: int) -> tuple:
     ]
     high_edges = [(i, j, _g6_bit(i, j)) for i in range(1, n) for j in range(i + 1, n)]
     width = (n * (n - 1) // 2 + 5) // 6  # body characters
-
-    def chars(x: int, count: int) -> str:
-        return "".join(chr(63 + (x >> 6 - 6 * c & 63)) for c in range(count))
-
-    head = [chr(63 + n) + chars(x, min(width, 2)) for x in range(1 << 12)]
-    tail = [chars(x, max(width - 2, 0)) for x in range(1 << 12)]
+    # the two characters of each 12-bit value, high six bits first
+    letters = [chr(63 + x) for x in range(64)]
+    pairs = [a + b for a in letters for b in letters]
+    head = [chr(63 + n) + pair[:width] for pair in pairs]
+    tail = [pair[:max(width - 2, 0)] for pair in pairs]
     return star, star_bits, picks, rows, high_edges, head, tail
 
 
 def enumerate_blocks(
     n: int, mask_range: tuple[int, int] | None = None
-) -> Iterator[tuple[Graph, list[tuple[str, Graph]]]]:
-    """(H, members) for each block of masks that share their high bits, in
-    mask order, where a block has members in ``mask_range``.
+) -> Iterator[tuple[Graph, list[tuple[str, int]], Callable[[int], Graph]]]:
+    """(H, members, member_graph) for each block of masks that share their
+    high bits, in mask order, where a block has members in ``mask_range``.
 
     A mask's low n-1 bits are the neighbourhood S of vertex 0 (bit v-1 is
     edge (0, v)) and its high bits the graph H on vertices 1..n-1.  ``H``
     is that graph on all n vertices, so vertex 0 is isolated in it; every
     member is H plus vertex 0 joined to its S.  ``members`` lists
-    (graph6 record, graph) for the block's labeled connected graphs, in
-    mask order.  Vertex 0 has degree 0 in H and the least label, so a
-    relabeling of H that orders its vertices by degree, ties by label, puts
-    vertex 0 at position 0, and H's form with S's positions in it fixes a
-    member's isomorphism class.  Each H is scanned once for its
-    components, and a graph is connected when S meets every one.  The
-    neighbour tuples and the record are looked up in :func:`_record_tables`
-    rather than built bit by bit.
+    (graph6 record, S) for the block's labeled connected graphs, in mask
+    order, and ``member_graph(S)`` builds such a member's graph, so a
+    caller that needs only the records builds no graph.  Vertex 0 has
+    degree 0 in H and the least label, so a relabeling of H that orders its
+    vertices by degree, ties by label, puts vertex 0 at position 0, and H's
+    form with S's positions in it fixes a member's isomorphism class.  Each
+    H is scanned once for its components, and a graph is connected when S
+    meets every one.  The neighbour tuples and the record are looked up in
+    :func:`_record_tables` rather than built bit by bit.
     """
     check_enumeration_n(n)
     total = enumeration_space(n)
@@ -493,21 +493,24 @@ def enumerate_blocks(
                 seen |= frontier
             components.append(seen >> 1)
             rest &= ~seen
-        options = star + tuple([rows[a | b] for a in adj[1:] for b in (0, 1)])
         base = h << low
         neighbourhoods = range(max(start - base, 0), min(stop - base, half))
         if len(components) > 1:
             neighbourhoods = [s for s in neighbourhoods if all(s & c for c in components)]
         elif components:  # H is connected: any nonempty S
             neighbourhoods = range(max(neighbourhoods.start, 1), neighbourhoods.stop)
-        members = []
-        for s in neighbourhoods:
-            record = bits | star_bits[s]
-            members.append((head[record >> 12] + tail[record & 4095], Graph(n, picks[s](options))))
-        if members:
-            # star[0] is vertex 0's empty tuple, options[half::2] each other
-            # vertex's tuple without vertex 0
-            yield Graph(n, options[:1] + options[half::2]), members
+        if not neighbourhoods:
+            continue
+        members = [(head[(record := bits | star_bits[s]) >> 12] + tail[record & 4095], s)
+                   for s in neighbourhoods]
+        options = star + tuple([rows[a | b] for a in adj[1:] for b in (0, 1)])
+
+        def member_graph(s: int, options: tuple = options) -> Graph:
+            return Graph(n, picks[s](options))
+
+        # star[0] is vertex 0's empty tuple, options[half::2] each other
+        # vertex's tuple without vertex 0
+        yield Graph(n, options[:1] + options[half::2]), members, member_graph
 
 
 def enumerate_records(
@@ -515,9 +518,10 @@ def enumerate_records(
 ) -> Iterator[tuple[str, Graph]]:
     """(graph6 record, graph) for every labeled connected simple graph on n
     vertices, in :func:`enumerate_connected`'s order: the members of
-    :func:`enumerate_blocks`, block after block."""
-    for _, members in enumerate_blocks(n, mask_range):
-        yield from members
+    :func:`enumerate_blocks`, block after block, with their graphs."""
+    for _, members, member_graph in enumerate_blocks(n, mask_range):
+        for record, s in members:
+            yield record, member_graph(s)
 
 
 def enumerate_connected(

@@ -9,6 +9,7 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import time
@@ -336,7 +337,8 @@ def _relabel(g: Graph, degree: list[int]) -> tuple[tuple, list[int]]:
 def _class_record(g: Graph, checks: tuple[str, ...], seq, report, sequence_results) -> tuple:
     """What ``g``'s isomorphism class fixes, given its sequence's entry:
     (its report row without the id, [(check, details)] for the checks with
-    details, in canonical order, names of the checks tight here)."""
+    details, in canonical order, a tuple of the names of the checks tight
+    here)."""
     spec = spectral_radius_power(g)
     found = []
     tight = []
@@ -346,7 +348,7 @@ def _class_record(g: Graph, checks: tuple[str, ...], seq, report, sequence_resul
             found.append((name, details))
         if is_tight:
             tight.append(name)
-    return report_row("", seq, report, spec.rho)[1:], found, tight
+    return report_row("", seq, report, spec.rho)[1:], found, tuple(tight)
 
 
 def _class_of(g: Graph, checks: tuple[str, ...], memo: dict) -> tuple:
@@ -414,6 +416,24 @@ def _chunks(cfg: CampaignConfig) -> list[tuple]:
     ]
 
 
+def _rooted_keys(h: Graph) -> tuple[tuple, list[int]]:
+    """The rooted keys of an enumeration block's members: H's copy
+    (:func:`_relabel`) and, at index S, the set of S's positions in it as
+    an integer, bit i for the vertex at position i.  Vertex 0 is isolated
+    in H and takes position 0, so two members with equal rooted keys are
+    isomorphic by a relabeling that fixes vertex 0.  The keys are built for
+    all S at once (S's bit v - 1 stands for vertex v): after vertices
+    1..v-1 come the S that add v to those, each the key of S without v with
+    the bit of v's position set.
+    """
+    form, position = _relabel(h, list(map(len, h.neighbors)))
+    keys = [0]
+    for place in position[1:]:  # of vertex 1, 2, ..., n - 1
+        bit = 1 << place
+        keys += [key | bit for key in keys]
+    return form, keys
+
+
 def _chunk_classes(kind: str, payload, checks: tuple[str, ...]):
     """Yield (id, class record) for the graphs of a chunk in source order,
     with None for a disconnected graph; the id is the graph's graph6
@@ -423,25 +443,23 @@ def _chunk_classes(kind: str, payload, checks: tuple[str, ...]):
     A file's graphs each go through :func:`_class_of`.  An enumeration
     chunk comes in blocks (:func:`enumerate_blocks`): a graph H on vertices
     1..n-1, with vertex 0 isolated, and its members, H plus vertex 0 joined
-    to a set S.  Vertex 0 takes position 0 in :func:`_relabel`'s copy of H,
-    so two members with equal rooted keys, H's copy and the frozenset of
-    S's positions in it, are isomorphic by a relabeling that fixes vertex
-    0, and share a class record.  The chunk keeps one record per rooted
-    key, and only a new rooted key goes through :func:`_class_of`.
+    to a set S.  Members with equal rooted keys (:func:`_rooted_keys`)
+    share a class record, so a member costs one list index and one dict
+    lookup, and only a new rooted key builds its graph and goes through
+    :func:`_class_of`.
     """
     memo: dict = {}
     if kind == "enumerate":
         n, start, stop = payload
         rooted: dict = {}
-        for h, members in enumerate_blocks(n, (start, stop)):
-            form, position = _relabel(h, list(map(len, h.neighbors)))
+        for h, members, member_graph in enumerate_blocks(n, (start, stop)):
+            form, keys = _rooted_keys(h)
             records = rooted.setdefault(form, {})
-            place = position.__getitem__
-            for ident, g in members:
-                key = frozenset(map(place, g.neighbors[0]))
+            for ident, s in members:
+                key = keys[s]
                 record = records.get(key)
                 if record is None:
-                    record = records[key] = _class_of(g, checks, memo)
+                    record = records[key] = _class_of(member_graph(s), checks, memo)
                 yield ident, record
         return
     if kind == "graph6":
@@ -460,11 +478,13 @@ def _run_chunk(checks: tuple[str, ...], chunk: tuple) -> tuple:
     (:func:`_class_of`) and, for an enumeration chunk, per rooted key
     (:func:`_chunk_classes`), which relies on vertex 0 taking position 0
     in the copy of each block's H.  A graph's row is its id before its
-    class record's row.
+    class record's row.  Each graph adds its record's tuple of tight names
+    to a tally; at the end each distinct tuple adds its count to each of
+    its names once.
     """
     rows: list = []
     violations: list[tuple[str, str, str]] = []
-    tight_counts = dict.fromkeys(checks, 0)
+    tallies: list = []
     skipped = 0
     kind, payload = chunk
     for ident, record in _chunk_classes(kind, payload, checks):
@@ -473,10 +493,13 @@ def _run_chunk(checks: tuple[str, ...], chunk: tuple) -> tuple:
             continue
         tail, found, tight = record
         rows.append((ident,) + tail)
+        tallies.append(tight)
         if found:
             violations.extend((ident, name, detail) for name, details in found for detail in details)
+    tight_counts = dict.fromkeys(checks, 0)
+    for tight, count in collections.Counter(tallies).items():
         for name in tight:
-            tight_counts[name] += 1
+            tight_counts[name] += count
     return rows, violations, skipped, tight_counts
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -20,6 +21,7 @@ from rho_bounds import (
 from rho_bounds import cli, harness
 from rho_bounds.cli import run
 from rho_bounds.graph_core import enumerate_records
+from rho_bounds.spectral_oracle import ConvergenceError
 
 
 class TestBound:
@@ -359,6 +361,34 @@ class TestVerify:
         assert captured.out == ""
         assert "exceeds the graph6 limit 258047" in captured.err
 
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_error_in_a_later_chunk_keeps_the_rows_before_it(
+            self, output, tmp_path, monkeypatch, capsys):
+        # 5,200 records make two file chunks; Lanczos fails on the second
+        # chunk's graphs, after the first chunk's rows went to the report.
+        # Those rows are on stdout, as the report had them, and the exit is 2
+        records = [record for record, _ in itertools.islice(enumerate_records(6), 5200)]
+        assert harness._FILE_CHUNK == 5000
+        first, both = tmp_path / "first.g6", tmp_path / "both.g6"
+        first.write_text("\n".join(records[:5000]) + "\n")
+        both.write_text("\n".join(records) + "\n")
+        assert run(["verify", "--input", str(first), "--output", output]) == 0
+        report = capsys.readouterr().out
+        expected = report if output == "csv" else report[:report.rindex('], "graphs_checked"')]
+        late = set(records[5000:])
+        lanczos = harness.spectral_radius_power
+
+        def failing(g):
+            if encode_graph6(g) in late:
+                raise ConvergenceError("no convergence", 0.0)
+            return lanczos(g)
+
+        monkeypatch.setattr(harness, "spectral_radius_power", failing)
+        assert run(["verify", "--input", str(both), "--output", output]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == "error: no convergence\n"
+
     def test_empty_corpus_csv_header(self, tmp_path, capsys):
         path = tmp_path / "empty.g6"
         path.write_text("")
@@ -430,6 +460,18 @@ def _bound_rows(tmp_path, monkeypatch) -> list[tuple]:
     return rows
 
 
+class _Writes(io.StringIO):
+    """A stream that keeps each ``write``'s text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
 class TestReportText:
     """Each report writer formats a row's tail once and caches the text; its
     report is what uncached ``csv.writer`` and ``json.dumps`` write."""
@@ -471,6 +513,29 @@ class TestReportText:
             assert info.maxsize == info.currsize == cli._TEXT_CACHE
             assert info.misses > tails
 
+    def test_rows_past_one_batch(self):
+        # each writer holds cli._BATCH lines and writes them at once, and
+        # the rest at finish: what it writes is the uncached report
+        rows = self._verify_rows(6)
+        assert len(rows) > 2 * cli._BATCH
+        csv_text, json_rows = _uncached_reports(rows)
+        json_text = '{"rows": [' + json_rows + '], "graphs_checked": 0'
+        for report, lines in ((cli._CsvReport, "\n"), (cli._JsonReport, '{"id"')):
+            out = _Writes()
+            writer = report(out)
+            for row in rows:
+                writer.add_row(row)
+            # the CSV header is one more line in the first batch
+            counts = [text.count(lines) for text in out.writes]
+            counts[0] -= report is cli._CsvReport
+            assert counts == [cli._BATCH] * (len(rows) // cli._BATCH)
+            writer.finish(harness.CampaignResult())
+            assert len(out.writes) == len(rows) // cli._BATCH + 1
+            if report is cli._CsvReport:
+                assert out.getvalue() == csv_text
+            else:
+                assert out.getvalue().startswith(json_text)
+
     def test_every_column_has_one_type(self, tmp_path, monkeypatch):
         # the cache keys by equality, and 0.0 == -0.0 and 1 == 1.0 hash
         # alike: a column with two types, or a float -0.0, could print
@@ -495,6 +560,16 @@ class TestEnumerate:
         from rho_bounds import parse_graph6
 
         assert all(parse_graph6(line).n == 4 for line in lines)
+
+    def test_n6_stream_in_batches(self, monkeypatch):
+        # the records of enumerate_records, cli._BATCH lines per write
+        out = _Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert run(["enumerate", "--n", "6"]) == 0
+        records = [record for record, _ in enumerate_records(6)]
+        assert out.getvalue() == "".join(record + "\n" for record in records)
+        assert [text.count("\n") for text in out.writes] == (
+            [cli._BATCH] * (len(records) // cli._BATCH) + [len(records) % cli._BATCH])
 
     def test_large_gate(self, capsys):
         assert run(["enumerate", "--n", "8"]) == 2

@@ -479,14 +479,20 @@ class TestEnumerateConnected:
 
 
 def _flattened_blocks(n, mask_range=None):
-    """``enumerate_blocks``'s members, block after block, once each block's
-    H is checked: every member without vertex 0's edges, and no block
-    empty."""
+    """``enumerate_blocks``'s members as (record, graph), block after block,
+    each graph built by its block's ``member_graph``, once each block is
+    checked: no block empty, every S a set of vertex 0's neighbours in
+    mask order, and every member without vertex 0's edges equal to H."""
     stream = []
-    for h, members in graph_core.enumerate_blocks(n, mask_range):
+    for h, members, member_graph in graph_core.enumerate_blocks(n, mask_range):
         assert members and h.n == n
-        assert all(without_vertex_0(g) == h for _, g in members)
-        stream.extend(members)
+        sets = [s for _, s in members]
+        assert sets == sorted(set(sets)) and all(0 <= s < 1 << n - 1 for s in sets)
+        for record, s in members:
+            g = member_graph(s)
+            assert g.neighbors[0] == tuple(v for v in range(1, n) if s >> v - 1 & 1)
+            assert without_vertex_0(g) == h
+            stream.append((record, g))
     return stream
 
 

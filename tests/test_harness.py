@@ -604,7 +604,7 @@ class TestSequenceMemo:
             for g, ident in zip(graphs, ids):
                 tail, found, tight = harness._class_of(g, CHECKS, memo)
                 got.append(((ident,) + tail, [(ident, name, detail) for name, details in found
-                                              for detail in details], tight))
+                                              for detail in details], list(tight)))
             assert got == expected
             assert memo.keys() == {path, star}
             assert memo[path] is not harness._SEEN
@@ -678,9 +678,26 @@ class TestClassMemo:
         # copy puts vertex 0 first, so a rooted key's positions relabel by
         # a permutation that fixes vertex 0
         for n in range(1, 7):
-            for h, members in enumerate_blocks(n):
+            for h, members, member_graph in enumerate_blocks(n):
                 assert h.neighbors[0] == ()
                 assert harness._relabel(h, [len(nb) for nb in h.neighbors])[1][0] == 0
+
+    def test_integer_rooted_keys_group_as_frozensets(self):
+        # the chunk's key, H's copy and S's positions as an integer, and
+        # _rooted_key's frozenset of the same positions split every
+        # member of every block into the same groups
+        for n in range(1, 7):
+            pairs = {}
+            for h, members, member_graph in enumerate_blocks(n):
+                form, keys = harness._rooted_keys(h)
+                assert len(keys) == 1 << n - 1 and keys[0] == 0
+                for _, s in members:
+                    g = member_graph(s)
+                    root = _rooted_key(g)
+                    assert root[0] == form
+                    assert keys[s] == sum(1 << place for place in root[1])
+                    pairs[form, keys[s]] = root
+            assert len(set(pairs.values())) == len(pairs)
 
     def test_equal_rooted_keys_fix_vertex_0(self):
         # two graphs with one rooted key are isomorphic by a permutation
