@@ -14,7 +14,7 @@ in integers; a float bound only rounds its pair, at the final square root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .equality import EqualityCertificate, classify_equality
 from .graph_core import DegreeSequence
@@ -155,8 +155,7 @@ def compare_step(seq: DegreeSequence, s: int) -> int:
     return _sign(seq.prefix[s] - s * (s - 1))
 
 
-@dataclass(frozen=True, slots=True)
-class PhiSequence:
+class PhiSequence(NamedTuple):
     """All n phi values, rounded and as exact pairs, and where the minimum is.
 
     ``argmin_levels`` and ``pivot`` come from exact integer tests on the
@@ -226,8 +225,7 @@ def is_graphical(degrees: list[int] | tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every bound a degree sequence determines, and its equality certificate.
 
     A report holds nothing that depends on the graph beyond its degree

@@ -13,8 +13,7 @@ the benchmark's per-layer trace (``perfbench/layers.py``) and the tests'
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph_core import DegreeSequence
 
@@ -23,8 +22,7 @@ DOMINATING = "Dominating"
 NONE = "None"
 
 
-@dataclass(frozen=True, slots=True)
-class EqualityCertificate:
+class EqualityCertificate(NamedTuple):
     """Witness for equality: the kind, the threshold t, and the levels at
     which the bound is predicted to be tight."""
 

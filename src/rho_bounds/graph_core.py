@@ -11,9 +11,8 @@ import base64
 import functools
 import re
 import sys
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class GraphParseError(ValueError):
@@ -27,8 +26,7 @@ class GraphParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, slots=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph: vertex count plus sorted neighbor tuples.
 
     Direct construction trusts its arguments; use :meth:`from_edges` or a
@@ -65,8 +63,7 @@ class Graph:
                     yield (u, v)
 
 
-@dataclass(frozen=True, slots=True)
-class DegreeSequence:
+class DegreeSequence(NamedTuple):
     """Non-increasing degree sequence with cached prefix sums.
 
     ``prefix[k]`` is the sum of the k largest degrees (``prefix[0] == 0``),

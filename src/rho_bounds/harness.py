@@ -13,7 +13,7 @@ import collections
 import contextlib
 import functools
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bounds import (
     EQUAL, GREATER, LESS, BoundReport, bound_report, compare_half_surds, compare_step,
@@ -249,8 +249,7 @@ def report_row(ident: str, seq: DegreeSequence, report: BoundReport, rho: float 
     )
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(NamedTuple):
     """What to verify: source, checks, and parallelism."""
 
     source: str                       # 'enumerate' | 'graph6' | 'edgelist'
@@ -260,13 +259,21 @@ class CampaignConfig:
     jobs: int = 1
 
 
-@dataclass
 class CampaignResult:
-    graphs_checked: int = 0
-    skipped_disconnected: int = 0
-    violations: list[tuple[str, str, str]] = field(default_factory=list)
-    tight_instances: dict[str, int] = field(default_factory=dict)
-    wall_time: float = 0.0
+    """A campaign's counts, its violations as (id, check, detail) in source
+    order, its tight count per check, and its wall time in seconds."""
+
+    __slots__ = ("graphs_checked", "skipped_disconnected", "violations",
+                 "tight_instances", "wall_time")
+
+    def __init__(self, graphs_checked: int = 0, skipped_disconnected: int = 0,
+                 violations: list[tuple[str, str, str]] | None = None,
+                 tight_instances: dict[str, int] | None = None, wall_time: float = 0.0):
+        self.graphs_checked = graphs_checked
+        self.skipped_disconnected = skipped_disconnected
+        self.violations = [] if violations is None else violations
+        self.tight_instances = {} if tight_instances is None else tight_instances
+        self.wall_time = wall_time
 
 
 def validate_config(cfg: CampaignConfig) -> None:
@@ -292,10 +299,6 @@ def validate_config(cfg: CampaignConfig) -> None:
         check_enumeration_n(cfg.n)
 
 
-#: The memo's marker for a degree sequence seen once in the chunk.
-_SEEN = object()
-
-
 def _sequence_entry(degrees: tuple[int, ...], checks: tuple[str, ...]) -> tuple:
     """The part of every check that depends only on the degree sequence:
     (seq, report, {sequence check name: (details, tight)}, classes), where
@@ -314,9 +317,9 @@ def _relabel(g: Graph, degree: list[int]) -> tuple[tuple, list[int]]:
     """An isomorphic copy of ``g``, given its degree list, and each vertex's
     position in it: the vertices ordered by degree, then by the sum of their
     neighbours' squared degrees, ties by label, and the copy's neighbour
-    sets (frozensets of positions) in that order.  Both invariants are
-    packed into one integer, since the sum is below n^3, so no neighbour
-    list is sorted; the copy takes O(n + m) memory.  The copy is a graph's
+    rows (sorted tuples of positions) in that order.  Both invariants are
+    packed into one integer, since the sum is below n^3, so the order is one
+    sort of integers; the copy takes O(n + m) memory.  The copy is a graph's
     class key: equal copies are relabelings of one graph, so their graphs
     are isomorphic; isomorphic graphs may still differ.  An isolated vertex
     has the least integer, 0, so the isolated vertex with the least label
@@ -331,7 +334,7 @@ def _relabel(g: Graph, degree: list[int]) -> tuple[tuple, list[int]]:
     for i, v in enumerate(order):
         position[v] = i
     place = position.__getitem__
-    return tuple([frozenset(map(place, neighbors[v])) for v in order]), position
+    return tuple([tuple(sorted(map(place, neighbors[v]))) for v in order]), position
 
 
 def _class_record(g: Graph, checks: tuple[str, ...], seq, report, sequence_results) -> tuple:
@@ -351,36 +354,40 @@ def _class_record(g: Graph, checks: tuple[str, ...], seq, report, sequence_resul
     return report_row("", seq, report, spec.rho)[1:], found, tuple(tight)
 
 
-def _class_of(g: Graph, checks: tuple[str, ...], memo: dict) -> tuple:
-    """The class record (see :func:`_class_record`) of one connected graph.
+def _class_of(g: Graph, ident: str, checks: tuple[str, ...], memo: dict) -> tuple:
+    """The class record (see :func:`_class_record`) of one connected graph
+    ``g``, whose graph6 record is ``ident``.
 
     ``memo`` maps sorted degree tuples to ``_sequence_entry`` results for
     one chunk, whose checks are fixed.  A sequence's first sighting stores
-    only ``_SEEN``, and its second the entry, so a corpus of distinct
-    sequences holds no reports.  From a sequence's second sighting on, each
-    graph's class key (:func:`_relabel`) also indexes the entry's classes,
-    which keep a ``_class_record``: Lanczos's result is the same bit for bit
-    on every labeling (see ``spectral_oracle``), and so is every check's
-    outcome.
+    only (``ident``, the graph's class record), so a corpus of distinct
+    sequences holds no reports.  Its second builds the entry, rebuilds the
+    first graph from its id and files its record in the entry's classes
+    under its class key (:func:`_relabel`).  From then on each graph's
+    class key indexes those classes, which keep a ``_class_record``:
+    Lanczos's result is the same bit for bit on every labeling (see
+    ``spectral_oracle``), and so is every check's outcome.
     So per graph there remain the degree list, its sort and memo lookup,
     and the class key.
     """
     degree = list(map(len, g.neighbors))
     degrees = tuple(sorted(degree, reverse=True))
     entry = memo.get(degrees)
-    seen = entry is not None
-    if entry is None or entry is _SEEN:
-        fresh = _sequence_entry(degrees, checks)
-        memo[degrees] = fresh if seen else _SEEN
-        entry = fresh
+    if entry is None:
+        # a new degree tuple has no isomorph earlier in the chunk
+        record = _class_record(g, checks, *_sequence_entry(degrees, checks)[:3])
+        memo[degrees] = ident, record
+        return record
+    if len(entry) == 2:  # (id, class record) of the sequence's first graph
+        first, record = entry
+        entry = memo[degrees] = _sequence_entry(degrees, checks)
+        h = decode_graph6(first)
+        entry[3][_relabel(h, list(map(len, h.neighbors)))[0]] = record
     seq, report, sequence_results, classes = entry
-    # a new degree tuple has no isomorph earlier in the chunk
-    key = _relabel(g, degree)[0] if seen else None
+    key = _relabel(g, degree)[0]
     record = classes.get(key)
     if record is None:
-        record = _class_record(g, checks, seq, report, sequence_results)
-        if seen:
-            classes[key] = record
+        record = classes[key] = _class_record(g, checks, seq, report, sequence_results)
     return record
 
 
@@ -438,7 +445,8 @@ def _chunk_classes(kind: str, payload, checks: tuple[str, ...]):
     """Yield (id, class record) for the graphs of a chunk in source order,
     with None for a disconnected graph; the id is the graph's graph6
     record, as the enumerator or the source has it or as
-    :func:`encode_graph6` writes it.
+    :func:`encode_graph6` writes it, and :func:`_class_of` decodes it to
+    rebuild a sequence's first graph.
 
     A file's graphs each go through :func:`_class_of`.  An enumeration
     chunk comes in blocks (:func:`enumerate_blocks`): a graph H on vertices
@@ -459,7 +467,7 @@ def _chunk_classes(kind: str, payload, checks: tuple[str, ...]):
                 key = keys[s]
                 record = records.get(key)
                 if record is None:
-                    record = records[key] = _class_of(member_graph(s), checks, memo)
+                    record = records[key] = _class_of(member_graph(s), ident, checks, memo)
                 yield ident, record
         return
     if kind == "graph6":
@@ -468,7 +476,7 @@ def _chunk_classes(kind: str, payload, checks: tuple[str, ...]):
         g = parse_edge_list(payload)
         graphs = [(encode_graph6(g), g)]
     for ident, g in graphs:
-        yield ident, _class_of(g, checks, memo) if is_connected(g) else None
+        yield ident, _class_of(g, ident, checks, memo) if is_connected(g) else None
 
 
 def _run_chunk(checks: tuple[str, ...], chunk: tuple) -> tuple:

@@ -34,8 +34,7 @@ and so the same slacks, and reuses them.  The float row sums
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bounds import phi
 from .graph_core import DegreeSequence, Graph
@@ -52,8 +51,7 @@ class CertificateViolationError(RuntimeError):
         self.slack = slack
 
 
-@dataclass(frozen=True, slots=True)
-class ScalingCertificate:
+class ScalingCertificate(NamedTuple):
     """The proof's row inequalities at one level.
 
     ``degrees`` and ``slacks`` are indexed in the relabeled (degree-sorted)

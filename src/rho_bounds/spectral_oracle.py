@@ -42,9 +42,9 @@ no campaign runs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from operator import add, mul, truediv
+from typing import NamedTuple
 
 from .graph_core import Graph
 
@@ -61,8 +61,7 @@ SOLVE_FACTOR = 100.0
 KEPT_FLOATS = 1 << 13
 
 
-@dataclass(frozen=True, slots=True)
-class SpectralResult:
+class SpectralResult(NamedTuple):
     """Largest adjacency eigenvalue, an iteration count, and proven ends
     ``lo <= rho(A) <= hi`` around the float estimate ``rho``.
 

@@ -488,7 +488,7 @@ class TestReportText:
         bound = _bound_rows(tmp_path, monkeypatch)
         # a real record with a backslash, which JSON escapes and CSV keeps
         record, g = next((r, g) for r, g in enumerate_records(6) if "\\" in r)
-        slash = (record,) + harness._class_of(g, harness.CHECKS, {})[0]
+        slash = (record,) + harness._class_of(g, record, harness.CHECKS, {})[0]
         # empty fields: pivot and cert_t (n = 5), rho and slack_min (sequences)
         assert any(row[5] is None for row in rows) and any(row[13] is None for row in rows)
         assert all(row[3] is None and row[14] is None for row in bound[-2:])
@@ -699,6 +699,18 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.stdout == "False\n"
+
+    def test_start_up_imports_no_dataclasses(self):
+        # the value types are named tuples: dataclasses would pull in
+        # inspect, ast, dis and tokenize on every run
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rho_bounds.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stdout == "[]\n"
 
 
 class _Stdin:

@@ -9,9 +9,9 @@ import pytest
 
 import rho_bounds
 from rho_bounds import harness
-import dataclasses
 
 from rho_bounds import (
+    BoundReport,
     CampaignConfig,
     CHECKS,
     CSV_COLUMNS,
@@ -242,8 +242,8 @@ def _graph_check(name, g, cert=None, spec=None, **ends):
     seq = degree_sequence(g)
     report = bound_report(seq)
     if cert is not None:
-        report = dataclasses.replace(report, cert=cert)
-    spec = dataclasses.replace(spec or spectral_radius_power(g), **ends)
+        report = report._replace(cert=cert)
+    spec = (spec or spectral_radius_power(g))._replace(**ends)
     return harness._GRAPH_CHECKS[name](g, seq, report, spec)
 
 
@@ -472,7 +472,7 @@ def test_localized_perron_vector_verifies(clique, path, tmp_path):
 
 def _dominance(seq, **replace):
     """The dominance check on a sequence's report with ``replace``d fields."""
-    report = dataclasses.replace(bound_report(seq), **replace)
+    report = bound_report(seq)._replace(**replace)
     return harness._dominance(seq, report)
 
 
@@ -537,8 +537,8 @@ class TestUnimodalityCheck:
     def test_forged_argmin(self):
         seq = DegreeSequence.from_degrees((4, 3, 3, 2, 1, 1))
         report = bound_report(seq)
-        phis = dataclasses.replace(report.phis, argmin_levels=frozenset({4}))
-        details, _ = harness._unimodality(seq, dataclasses.replace(report, phis=phis))
+        phis = report.phis._replace(argmin_levels=frozenset({4}))
+        details, _ = harness._unimodality(seq, report._replace(phis=phis))
         assert details == ["structural argmin [4] (pivot 5) != scanned argmin [4, 5, 6]"]
 
     def test_valley_shape(self, monkeypatch):
@@ -601,14 +601,32 @@ class TestSequenceMemo:
         memo = {}
         for state in ("cold", "warm"):
             got = []
+            records = []
             for g, ident in zip(graphs, ids):
-                tail, found, tight = harness._class_of(g, CHECKS, memo)
+                records.append(harness._class_of(g, ident, CHECKS, memo))
+                tail, found, tight = records[-1]
                 got.append(((ident,) + tail, [(ident, name, detail) for name, details in found
                                               for detail in details], list(tight)))
             assert got == expected
             assert memo.keys() == {path, star}
-            assert memo[path] is not harness._SEEN
-            assert (memo[star] is harness._SEEN) == (state == "cold")
+            # a sequence seen twice has its entry, and its first graph's
+            # record filed under that graph's class key
+            seq, report, _, classes = memo[path]
+            assert type(report) is BoundReport
+            assert classes[class_key(graphs[0])] is records[0]
+            # the star's, seen once in the cold pass, holds its id and its
+            # record, and no report
+            if state == "cold":
+                assert memo[star] == (ids[2], records[2])
+                assert not _holds_report(memo[star])
+            else:
+                assert memo[star][3] == {class_key(graphs[2]): records[2]}
+
+
+def _holds_report(value):
+    """Whether ``value`` is or holds, in its tuples and lists, a BoundReport."""
+    return type(value) is BoundReport or (
+        isinstance(value, (tuple, list)) and any(map(_holds_report, value)))
 
 
 def _rooted_key(g):
@@ -657,21 +675,22 @@ class TestClassMemo:
             for g in enumerate_connected(n):
                 key = class_key(g)
                 assert any(
-                    tuple(frozenset(perm[u] for u in g.neighbors[v])
+                    tuple(tuple(sorted(perm[u] for u in g.neighbors[v]))
                           for v in sorted(range(n), key=perm.__getitem__)) == key
                     for perm in itertools.permutations(range(n))
                 )
 
     def test_key_holds_positions_only(self):
-        # O(n + m): one frozenset of positions per vertex, 2m entries in all
+        # O(n + m): one sorted tuple of distinct positions per vertex, 2m
+        # entries in all
         g = gen_named("path", 8000)
         key = class_key(g)
-        assert all(type(row) is frozenset for row in key)
+        assert all(type(row) is tuple and list(row) == sorted(set(row)) for row in key)
         assert sum(map(len, key)) == 2 * g.m
         assert set().union(*key) == set(range(g.n))
         # degree first, then the sum of the neighbours' squared degrees
         # (the ends' neighbours 4, inner vertices 5 or 8), ties by label
-        assert key[:3] == (frozenset({2}), frozenset({3}), frozenset({0, 4}))
+        assert key[:3] == ((2,), (3,), (0, 4))
 
     def test_vertex_0_at_position_0(self):
         # every H of an enumeration block has vertex 0 isolated, and its
@@ -732,30 +751,30 @@ class TestClassMemo:
     def test_lanczos_once_per_record_at_n6(self, monkeypatch):
         # one chunk holds every mask of n = 6.  A graph reaches the
         # sequence memo only with a new rooted key, 1,462 times; there
-        # Lanczos runs once for each sequence's first graph and once per
-        # (sequence, class key) after it: 68 + 170 = 238 times among the
-        # 26,704 graphs
+        # Lanczos runs once per (sequence, class key), the key of each
+        # sequence's first graph included: 174 times among the 26,704
+        # graphs, for 68 sequences
         calls = []
         monkeypatch.setattr(harness, "spectral_radius_power",
                             lambda g: calls.append(g) or spectral_radius_power(g))
         chunk = ("enumerate", (6, 0, enumeration_space(6)))
         assert harness._chunks(CampaignConfig(source="enumerate", n=6)) == [chunk]
         rows = harness._run_chunk(CHECKS, chunk)[0]
-        rooted, first, keys = set(), {}, set()
+        rooted, sequences, keys = set(), set(), set()
         for g in enumerate_connected(6):
             root = _rooted_key(g)
             if root in rooted:
                 continue
             rooted.add(root)
             degrees = degree_sequence(g).degrees
-            if first.setdefault(degrees, g) is not g:
-                keys.add((degrees, class_key(g)))
-        assert (len(rows), len(rooted), len(first), len(keys), len(calls)) == (
-            26704, 1462, 68, 170, 238)
+            sequences.add(degrees)
+            keys.add((degrees, class_key(g)))
+        assert (len(rows), len(rooted), len(sequences), len(keys), len(calls)) == (
+            26704, 1462, 68, 174, 174)
 
     def test_charpoly_once_per_class_key(self, monkeypatch):
-        # at most one charpoly, Lanczos run and graph check for each
-        # sequence's first graph and one per key: 19 sequences and 40 keys
+        # at most one charpoly, Lanczos run and graph check per class key,
+        # a sequence's first graph's key included: 40 keys (19 sequences)
         # among the 728 graphs of n = 5
         calls = collections.Counter()
 
@@ -776,7 +795,27 @@ class TestClassMemo:
         assert (len(sequences), len(keys)) == (19, 40)
         assert calls.keys() == {"characteristic_polynomial", "spectral_radius_power",
                                 *harness._GRAPH_CHECKS}
-        assert max(calls.values()) <= len(sequences) + len(keys)
+        assert max(calls.values()) <= len(keys)
+
+    def test_first_graph_returns_after_another_class(self, monkeypatch):
+        # the paw with a tail and the square with a pendant share degrees
+        # 3,2,2,2,1.  The first sighting keeps the paw's id and record; the
+        # square's, the second, files that record under the paw's class
+        # key, so a relabeled paw after it runs no Lanczos
+        paw = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)])
+        square = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        relabeled = next(
+            h for perm in itertools.permutations(range(5))
+            for h in [Graph.from_edges(5, [(perm[u], perm[v]) for u, v in paw.edges()])]
+            if encode_graph6(h) != encode_graph6(paw) and class_key(h) == class_key(paw)
+        )
+        calls = []
+        monkeypatch.setattr(harness, "spectral_radius_power",
+                            lambda g: calls.append(g) or spectral_radius_power(g))
+        chunk = ("graph6", [encode_graph6(g) for g in (paw, square, relabeled)])
+        got = harness._run_chunk(CHECKS, chunk)
+        assert got == run_chunk_reference(CHECKS, chunk)
+        assert calls == [paw, square]
 
     def test_violations_never_shared(self, monkeypatch):
         # one class gets a forged charpoly and a negative slack at vertex
